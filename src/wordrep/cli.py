@@ -100,27 +100,10 @@ def _ms(value: float, deterministic: bool) -> str:
     return "-" if deterministic else f"{value:.1f}"
 
 
-def _echo_args(argv: list[str]) -> list[str]:
-    """Drop worker-count flags so reports stay byte-identical across them."""
-    out = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--jobs":
-            skip = True
-            continue
-        if tok.startswith("--jobs="):
-            continue
-        out.append(tok)
-    return out
-
-
 class _Report:
     def __init__(self, args: argparse.Namespace):
         self.lines: list[tuple[str, str]] = []
-        self.add("command", shlex.join(_echo_args(getattr(args, "_argv", []))))
+        self.add("command", shlex.join(args._argv))
 
     def add(self, key: str, value: str) -> None:
         self.lines.append((key, value))
@@ -177,6 +160,9 @@ def cmd_repnum(args: argparse.Namespace) -> int:
     rep.add("witness", format_word(res.witness) if res.witness else "-")
     for k, cert in enumerate(res.per_k, start=1):
         rep.add(f"k-{k}", f"{cert.status} nodes={cert.nodes_explored}")
+    if res.orientation is not None:
+        orient = res.orientation
+        rep.add("orientation", f"{orient.status} nodes={orient.nodes_explored}")
     rep.add("nodes", str(res.nodes_explored))
     rep.add("elapsed-ms", _ms(res.elapsed_ms, args.deterministic))
     rep.emit()
@@ -317,12 +303,6 @@ def cmd_chord(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count forwarded to searches (execution is serial)",
-    )
-    common.add_argument(
         "--deterministic",
         type=_bool_arg,
         default=True,
@@ -453,9 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     args._argv = list(argv)
     try:
         return args.func(args)

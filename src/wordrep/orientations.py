@@ -282,11 +282,16 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     order, by placing candidate vertices in index order.  For n <= 7 a
     seen-set over (placed vertices, arc directions) skips replayed states.
     """
+    return _semi_transitive_search(g)[0]
+
+
+def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
+    """exists_semi_transitive plus its node count: vertices placed on a prefix."""
     n = g.n
     adj = g.adj
     labs = g.labels
     if n == 0:
-        return Orientation(g, [])
+        return Orientation(g, []), 0
 
     edge_list = [(i, j) for i in range(n) for j in iter_bits(adj[i]) if i < j]
     use_memo = n <= 7
@@ -296,6 +301,7 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     inn = [0] * n
     placed = 0
     order: list[int] = []
+    nodes = 0
 
     def reach(masks: list[int], start: int, allowed: int) -> int:
         seen = 0
@@ -353,7 +359,7 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
         return placed, bits
 
     def place(depth: int) -> bool:
-        nonlocal placed
+        nonlocal placed, nodes
         if depth == n:
             return True
         if use_memo:
@@ -370,6 +376,7 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
             bad = completes_shortcut(w)
             placed |= 1 << w
             if not bad:
+                nodes += 1
                 order.append(w)
                 if place(depth + 1):
                     return True
@@ -383,8 +390,8 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
         return False
 
     if not place(0):
-        return None
-    return orient_by_order(g, [labs[i] for i in order])
+        return None, nodes
+    return orient_by_order(g, [labs[i] for i in order]), nodes
 
 
 def parse_orientation(text: str) -> Orientation:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from .errors import VerificationError
 from .graphs import Graph, iter_bits
-from .orientations import Orientation, is_transitive
+from .orientations import (
+    Orientation,
+    _semi_transitive_search,
+    is_semi_transitive,
+    is_transitive,
+)
 from .words import Word, concat_orders, represents
 
 WITNESS_FOUND = "witness-found"
@@ -70,6 +75,7 @@ class RepNumberCertificate:
     per_k: tuple[Certificate, ...]
     nodes_explored: int
     elapsed_ms: float
+    orientation: Certificate | None = None  # set once k = 2 has exhausted
 
 
 def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
@@ -174,14 +180,44 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
 
 
+def _greedy_clique_size(g: Graph) -> int:
+    """Size of a clique grown greedily by common-neighbourhood degree."""
+    adj = g.adj
+    cand = (1 << g.n) - 1
+    size = 0
+    while cand:
+        v = max(iter_bits(cand), key=lambda i: ((adj[i] & cand).bit_count(), -i))
+        size += 1
+        cand &= adj[v]
+    return size
+
+
+def _orientation_certificate(g: Graph) -> Certificate:
+    t0 = time.perf_counter()
+    query = f"semi-transitive-orientation n={g.n} m={g.edge_count}"
+    d, nodes = _semi_transitive_search(g)
+    if d is None:
+        return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
+    if not is_semi_transitive(d):
+        raise VerificationError("found orientation is not semi-transitive")
+    return Certificate(query, WITNESS_FOUND, d, nodes, _ms(t0))
+
+
 def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertificate:
     """Minimal k admitting a k-uniform representant, with per-k certificates.
 
     Complete graphs answer 1 immediately with a permutation witness.  A
     k-representable graph is also (k+1)-representable, so the first success
-    in the ascending scan is minimal; exhausting k = |V| proves the graph is
-    not word-representable at all.  An explicit max_k below |V| that exhausts
-    yields status "aborted" instead, as nothing was proved.
+    in the ascending scan is minimal.  When k = 2 exhausts, the
+    semi-transitive orientation search runs once: g is word-representable
+    exactly when it has such an orientation (Halldorsson-Kitaev-Pyatkin), so
+    an exhausted search proves "not-word-representable".  Otherwise the scan
+    goes on up to 2(n - c) for a greedy clique size c, which bounds R(G) for
+    every representable graph (same authors); exhausting that bound
+    contradicts the theorem and raises VerificationError.  Stopping at an
+    explicit max_k below the answer yields "aborted", as nothing was proved.
+    The orientation verdict is kept on the result; nodes_explored counts the
+    k-uniform searches only.
     """
     t0 = time.perf_counter()
     if max_k is not None and max_k <= 0:
@@ -198,20 +234,39 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
         cert = Certificate(sub, WITNESS_FOUND, w, 0, 0.0)
         return RepNumberCertificate(query, WITNESS_FOUND, 1, w, (cert,), 0, _ms(t0))
 
-    bound = g.n if max_k is None else min(max_k, g.n)
     per: list[Certificate] = []
     nodes = 0
-    for k in range(1, bound + 1):
+    orient: Certificate | None = None
+    hkp: int | None = None
+    bound = 2 if max_k is None else min(max_k, 2)
+    k = 1
+    while k <= bound:
         cert = find_k_uniform_representant(g, k)
         per.append(cert)
         nodes += cert.nodes_explored
         if cert.status == WITNESS_FOUND:
             assert isinstance(cert.witness, Word)
             return RepNumberCertificate(
-                query, WITNESS_FOUND, k, cert.witness, tuple(per), nodes, _ms(t0)
+                query, WITNESS_FOUND, k, cert.witness, tuple(per), nodes, _ms(t0),
+                orient,
             )
-    status = NOT_REPRESENTABLE if bound == g.n else ABORTED
-    return RepNumberCertificate(query, status, None, None, tuple(per), nodes, _ms(t0))
+        if k == 2:
+            orient = _orientation_certificate(g)
+            if orient.status == EXHAUSTED:
+                return RepNumberCertificate(
+                    query, NOT_REPRESENTABLE, None, None, tuple(per), nodes,
+                    _ms(t0), orient,
+                )
+            hkp = 2 * (g.n - _greedy_clique_size(g))
+            bound = hkp if max_k is None else min(max_k, hkp)
+        k += 1
+    if bound == hkp:
+        raise VerificationError(
+            f"k = {hkp} exhausted for a graph with a semi-transitive orientation"
+        )
+    return RepNumberCertificate(
+        query, ABORTED, None, None, tuple(per), nodes, _ms(t0), orient
+    )
 
 
 def find_transitive_orientation(g: Graph) -> Certificate:

@@ -64,6 +64,31 @@ def naive_has_shortcut(d: Orientation) -> bool:
     return False
 
 
+def naive_isomorphic(g: Graph, h: Graph) -> bool:
+    """Backtracking search for an edge-preserving bijection from g onto h."""
+    gl, hl = list(g.labels), list(h.labels)
+    if len(gl) != len(hl) or len(g.edges()) != len(h.edges()):
+        return False
+    image: dict = {}
+
+    def extend(i: int) -> bool:
+        if i == len(gl):
+            return True
+        u = gl[i]
+        for x in hl:
+            if x in image.values():
+                continue
+            if any(g.has_edge(u, v) != h.has_edge(x, image[v]) for v in gl[:i]):
+                continue
+            image[u] = x
+            if extend(i + 1):
+                return True
+            del image[u]
+        return False
+
+    return extend(0)
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     labels = [str(i + 1) for i in range(n)]
     edges = [

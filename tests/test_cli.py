@@ -19,6 +19,43 @@ def report_dict(out):
     return data
 
 
+# Deterministic `repnum` reports for graphs with R <= 2, byte for byte.
+REPNUM_GOLDEN = {
+    ("complete", 4): """command: repnum --graph -
+inputs: 65974093d629
+status: witness-found
+rep-number: 1
+witness: 1 2 3 4
+k-1: witness-found nodes=0
+nodes: 0
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+    ("cycle", 5): """command: repnum --graph -
+inputs: 6e8c3a22fb7a
+status: witness-found
+rep-number: 2
+witness: 1 2 5 1 4 5 3 4 2 3
+k-1: exhausted nodes=0
+k-2: witness-found nodes=25
+nodes: 25
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+    ("ladder", 3): """command: repnum --graph -
+inputs: f04767fe5da9
+status: witness-found
+rep-number: 2
+witness: 2 1 3' 2' 3 3' 2 3 1' 2' 1 1'
+k-1: exhausted nodes=0
+k-2: witness-found nodes=93
+nodes: 93
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+}
+
+
 @pytest.fixture()
 def prism_file(tmp_path):
     p = tmp_path / "pr3.txt"
@@ -88,13 +125,32 @@ class TestRepnum:
         assert rep["status"] == "witness-found"
         assert rep["k-1"].startswith("exhausted")
         assert rep["k-2"].startswith("exhausted")
+        assert rep["orientation"].startswith("witness-found nodes=")
         assert rep["elapsed-ms"] == "-"
         assert rep["version"].startswith("wordrep ")
 
-    def test_deterministic_across_jobs(self, capsys, prism_file):
-        _, out1, _ = run(capsys, "repnum", "--graph", prism_file)
-        _, out2, _ = run(capsys, "repnum", "--graph", prism_file, "--jobs", "4")
-        assert out1 == out2
+    def test_wheel5_not_representable(self, capsys, tmp_path):
+        from wordrep import add_apex
+
+        g = tmp_path / "w5.txt"
+        g.write_text(format_graph(add_apex(build_family("cycle", 5), "a")))
+        code, out, _ = run(capsys, "repnum", "--graph", str(g))
+        assert code == 1
+        rep = report_dict(out)
+        assert rep["status"] == "not-word-representable"
+        assert rep["rep-number"] == "-"
+        assert [k for k in rep if k.startswith("k-")] == ["k-1", "k-2"]
+        assert rep["orientation"].startswith("exhausted nodes=")
+
+    @pytest.mark.parametrize("family,size", sorted(REPNUM_GOLDEN))
+    def test_golden_reports(self, capsys, monkeypatch, family, size):
+        import io
+
+        text = format_graph(build_family(family, size))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "repnum", "--graph", "-")
+        assert code == 0
+        assert out == REPNUM_GOLDEN[family, size]
 
     def test_non_deterministic_prints_elapsed(self, capsys, prism_file):
         code, out, _ = run(
@@ -268,10 +324,6 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "repnum", "--graph", "-")
         assert code == 0
         assert report_dict(out)["rep-number"] == "1"
-
-    def test_jobs_must_be_positive(self, capsys, prism_file):
-        code, _, err = run(capsys, "repnum", "--graph", prism_file, "--jobs", "0")
-        assert code == 2 and "--jobs" in err
 
     def test_usage_error_without_subcommand(self, capsys):
         assert run(capsys, )[0] == 2

@@ -8,6 +8,7 @@ from wordrep import (
     WITNESS_FOUND,
     Graph,
     LinearOrderFamily,
+    VerificationError,
     Word,
     add_apex,
     build_family,
@@ -15,13 +16,14 @@ from wordrep import (
     find_k_uniform_representant,
     find_permutational_representation,
     find_transitive_orientation,
+    is_semi_transitive,
     is_transitive,
     orient_by_order,
     poset_dimension,
     representation_number,
     uniformity,
 )
-from oracles import naive_represents, random_graph
+from oracles import naive_isomorphic, naive_represents, random_graph
 
 
 class TestKUniformSearch:
@@ -105,18 +107,70 @@ class TestRepresentationNumber:
         res = representation_number(w5)
         assert res.status == NOT_REPRESENTABLE
         assert res.rep_number is None
-        assert len(res.per_k) == 6
-        assert all(c.status == EXHAUSTED for c in res.per_k)
+        # k = 1, 2 exhaust, then the orientation search proves the verdict
+        assert [c.status for c in res.per_k] == [EXHAUSTED, EXHAUSTED]
+        assert [c.nodes_explored for c in res.per_k] == [1, 466]
+        assert res.orientation.status == EXHAUSTED
+        assert res.orientation.nodes_explored > 0
+        assert res.orientation.witness is None
 
     def test_max_k_cap_aborts(self):
         res = representation_number(build_family("prism", 3), max_k=2)
         assert res.status == ABORTED
         assert res.rep_number is None
         assert [c.status for c in res.per_k] == [EXHAUSTED, EXHAUSTED]
+        assert res.orientation.status == WITNESS_FOUND
+
+    def test_wheel5_max_k_1_never_reaches_orientation(self):
+        res = representation_number(add_apex(build_family("cycle", 5), "a"), max_k=1)
+        assert res.status == ABORTED
+        assert res.orientation is None
+
+    def test_wheel5_max_k_2_is_proof(self):
+        res = representation_number(add_apex(build_family("cycle", 5), "a"), max_k=2)
+        assert res.status == NOT_REPRESENTABLE
+        assert res.orientation.status == EXHAUSTED
+
+    def test_exhausted_bound_with_orientation_is_an_error(self, monkeypatch):
+        # a clique size of n - 1 claims R <= 2; Pr3 has R = 3 and an
+        # orientation, so the scan must fail loudly, not report a verdict
+        monkeypatch.setattr("wordrep.search._greedy_clique_size", lambda g: g.n - 1)
+        with pytest.raises(VerificationError):
+            representation_number(build_family("prism", 3))
+
+    def test_orientation_only_after_k2_exhausts(self):
+        assert representation_number(build_family("cycle", 5)).orientation is None
+        res = representation_number(build_family("prism", 3))
+        assert res.orientation.status == WITNESS_FOUND
+        assert is_semi_transitive(res.orientation.witness)
 
     def test_nodes_sum(self):
         res = representation_number(build_family("cycle", 5))
         assert res.nodes_explored == sum(c.nodes_explored for c in res.per_k)
+
+
+def test_census_six_vertices():
+    """All 2^15 labelled graphs on six vertices, against counted orbits.
+
+    The prism Pr3 is the only six-vertex graph with R = 3 and the wheel W5
+    the only one that is not word-representable; their labelled copies
+    number 6!/|Aut| = 720/12 and 720/10.
+    """
+    labels = [str(i) for i in range(1, 7)]
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    prism = build_family("prism", 3)
+    w5 = add_apex(build_family("cycle", 5), "a")
+    counts = {1: 0, 2: 0, 3: 0, None: 0}
+    for mask in range(1 << len(pairs)):
+        g = Graph(labels, [p for t, p in enumerate(pairs) if mask >> t & 1])
+        res = representation_number(g)
+        counts[res.rep_number] += 1
+        if res.rep_number is None:
+            assert res.status == NOT_REPRESENTABLE
+            assert naive_isomorphic(g, w5)
+        elif res.rep_number == 3:
+            assert naive_isomorphic(g, prism)
+    assert counts == {1: 1, 2: (1 << 15) - 1 - 60 - 72, 3: 60, None: 72}
 
 
 class TestTransitiveOrientationSearch:
