@@ -31,6 +31,12 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+def _check_positive(name: str, value: object) -> None:
+    # bool is an int subclass, and a float k would recurse without end
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Outcome record of one search.
@@ -81,17 +87,25 @@ class RepNumberCertificate:
 def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     """Search for a k-uniform word representing g.
 
-    Left-to-right backtracking over letters with remaining copies, driven by
-    per-pair alternation automata: an adjacent pair dies on any repeat, and
-    when a letter places its final copy each partner's remaining count
-    decides feasibility.  Two symmetry reductions, both sound for exhaustion:
-    (a) the word starts with a fixed maximum-degree vertex, justified by
-    rotating any representant to such a start; (b) of a word and its
-    rotated reverse (which share that first letter) only the one whose second
-    letter does not exceed its last letter is enumerated.
+    Left-to-right backtracking over letters with remaining copies, in
+    ascending vertex index at each position, on one bitmask per letter.
+    since[c] holds the letters placed after c's last copy, and every letter
+    while c is unplaced.  Invariant: the prefix's subsequence on a pair
+    {c, d} ends in c exactly when d is not in since[c], so the pairs whose
+    last letter is c are full & ~since[c] & ~bit(c), and placing c repeats a
+    letter on exactly those pairs.  live[c] holds the non-edges at c whose
+    subsequence still alternates; two and avail hold the letters with at
+    least two and at least one copy left.  Placing c is refused when it
+    repeats a letter on an edge, or when it is c's final copy and either a
+    neighbour has two or more copies left (they would repeat after it) or a
+    live non-edge not repeated by this copy has at most one copy left (it
+    could never repeat).  Two symmetry reductions, both sound for
+    exhaustion: (a) the word starts with a fixed maximum-degree vertex,
+    justified by rotating any representant to such a start; (b) of a word and
+    its rotated reverse (which share that first letter) only the one whose
+    second letter does not exceed its last letter is enumerated.
     """
-    if k <= 0:
-        raise ValueError("k must be a positive integer")
+    _check_positive("k", k)
     t0 = time.perf_counter()
     n = g.n
     adj = g.adj
@@ -106,73 +120,60 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
         return Certificate(query, WITNESS_FOUND, w, 0, _ms(t0))
 
     start = max(range(n), key=lambda i: (adj[i].bit_count(), -i))
+    full = (1 << n) - 1
+    live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
     rem = [k] * n
-    last = [[-1] * n for _ in range(n)]
-    alive = [[True] * n for _ in range(n)]
+    two = full if k >= 2 else 0  # letters with >= 2 copies left
+    avail = full  # letters with >= 1 copy left
     word_idx: list[int] = []
     nodes = 0
 
-    def feasible(c: int) -> bool:
-        exhausting = rem[c] == 1
-        row = adj[c]
-        lc = last[c]
-        ac = alive[c]
-        for d in range(n):
-            if d == c:
-                continue
-            if row >> d & 1:
-                if lc[d] == c:
-                    return False
-                if exhausting and rem[d] >= 2:
-                    return False
-            elif ac[d] and lc[d] != c:
-                if exhausting and rem[d] <= 1:
-                    return False
-        return True
-
-    def apply(c: int) -> list[tuple[int, int, bool]]:
-        steps = []
-        row = adj[c]
-        for d in range(n):
-            if d == c:
-                continue
-            steps.append((d, last[c][d], alive[c][d]))
-            if not row >> d & 1 and alive[c][d] and last[c][d] == c:
-                alive[c][d] = alive[d][c] = False
-            last[c][d] = last[d][c] = c
-        rem[c] -= 1
-        return steps
-
-    def undo(c: int, steps: list[tuple[int, int, bool]]) -> None:
-        rem[c] += 1
-        for d, l_old, a_old in steps:
-            last[c][d] = last[d][c] = l_old
-            alive[c][d] = alive[d][c] = a_old
-
-    def extend(pos: int) -> bool:
-        nonlocal nodes
+    def extend(pos: int, since: list[int]) -> bool:
+        nonlocal nodes, two, avail
         if pos == total:
             return True
-        final = pos == total - 1 and total >= 3
-        for c in range(n):
-            if rem[c] == 0:
+        cands = 1 << start if pos == 0 else avail
+        if pos == total - 1 and total >= 3:
+            cands &= ~((1 << word_idx[1]) - 1)
+        while cands:
+            bc = cands & -cands
+            cands ^= bc
+            c = bc.bit_length() - 1
+            ends = full & ~since[c] & ~bc
+            if adj[c] & ends:
                 continue
-            if pos == 0 and c != start:
+            final = not two & bc
+            if final and (adj[c] & two or live[c] & ~ends & ~two):
                 continue
-            if final and c < word_idx[1]:
-                continue
-            if not feasible(c):
-                continue
-            steps = apply(c)
+            died = live[c] & ends
+            if died:
+                live[c] ^= died
+                for d in iter_bits(died):
+                    live[d] ^= bc
+            rem[c] -= 1
+            if final:
+                avail ^= bc
+            elif rem[c] == 1:
+                two ^= bc
             nodes += 1
             word_idx.append(c)
-            if extend(pos + 1):
+            after = [s | bc for s in since]
+            after[c] = 0
+            if extend(pos + 1, after):
                 return True
             word_idx.pop()
-            undo(c, steps)
+            rem[c] += 1
+            if final:
+                avail ^= bc
+            elif rem[c] == 2:
+                two ^= bc
+            if died:
+                live[c] ^= died
+                for d in iter_bits(died):
+                    live[d] ^= bc
         return False
 
-    if extend(0):
+    if extend(0, [full] * n):
         w = Word(labs[c] for c in word_idx)
         if not represents(w, g):
             raise VerificationError("completed word failed verification")
@@ -220,10 +221,9 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
     k-uniform searches only.
     """
     t0 = time.perf_counter()
-    if max_k is not None and max_k <= 0:
-        raise ValueError("max_k must be a positive integer")
     query = f"representation-number n={g.n} m={g.edge_count}"
     if max_k is not None:
+        _check_positive("max_k", max_k)
         query += f" max-k={max_k}"
 
     if g.is_complete():
@@ -471,8 +471,7 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     exhaustion.  A realizer smaller than k is padded by repeating its own
     orders from the start, which leaves the intersection unchanged.
     """
-    if k <= 0:
-        raise ValueError("k must be a positive integer")
+    _check_positive("k", k)
     t0 = time.perf_counter()
     query = f"permutational-representation n={g.n} m={g.edge_count} k={k}"
     base = find_transitive_orientation(g)

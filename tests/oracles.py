@@ -28,6 +28,26 @@ def naive_edge_set(letters) -> set[frozenset]:
     return out
 
 
+def naive_k_uniform_words(labels, k: int):
+    """Each word with exactly k copies of every label, once, by brute force."""
+    left = {x: k for x in labels}
+    word: list = []
+
+    def walk():
+        if len(word) == k * len(left):
+            yield tuple(word)
+            return
+        for x in labels:
+            if left[x]:
+                left[x] -= 1
+                word.append(x)
+                yield from walk()
+                word.pop()
+                left[x] += 1
+
+    yield from walk()
+
+
 def graph_edge_set(g: Graph) -> set[frozenset]:
     return {frozenset(e) for e in g.edges()}
 

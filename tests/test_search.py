@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,66 @@ from wordrep import (
     representation_number,
     uniformity,
 )
-from oracles import naive_isomorphic, naive_represents, random_graph
+from oracles import (
+    naive_edge_set,
+    naive_isomorphic,
+    naive_k_uniform_words,
+    naive_represents,
+    random_graph,
+)
+
+# (status, witness, nodes_explored) at each k that representation_number
+# tries.  The node counts pin the kernel's search order: a change of its
+# state that keeps the order reproduces them exactly.
+KERNEL_GOLDEN = {
+    "C8": [
+        (EXHAUSTED, None, 0),
+        (WITNESS_FOUND, "1 2 8 1 7 8 6 7 5 6 4 5 3 4 2 3", 2546),
+    ],
+    "L4": [
+        (EXHAUSTED, None, 0),
+        (WITNESS_FOUND, "2 1 3' 2' 4 3 4' 4 3' 4' 2 3 1' 2' 1 1'", 1950),
+    ],
+    "Pr3": [
+        (EXHAUSTED, None, 0),
+        (EXHAUSTED, None, 404),
+        (WITNESS_FOUND, "1 2 3 1' 1 2' 2 3' 3 1' 1 2' 3' 1' 2 2' 3 3'", 18),
+    ],
+    "Pr4": [
+        (EXHAUSTED, None, 0),
+        (EXHAUSTED, None, 15434),
+        (
+            WITNESS_FOUND,
+            "1 2 4 3 1' 1 2' 2 4' 1' 4 1 3' 3 4' 4 2' 1' 2 3' 2' 4' 3 3'",
+            31611,
+        ),
+    ],
+    "H4": [
+        (EXHAUSTED, None, 0),
+        (EXHAUSTED, None, 15434),
+        (
+            WITNESS_FOUND,
+            "1 2 3 4 1' 2' 3' 4 4' 3 2 1' 1 4' 3' 2 2' 1 4 3' 3 2' 4' 1'",
+            1162,
+        ),
+    ],
+    "W6": [
+        (EXHAUSTED, None, 1),
+        (EXHAUSTED, None, 2749),
+        (WITNESS_FOUND, "c 1 2 3' 3 1' 2' c 1 3 2' 2 1' 3' c 2 3 1' 1 2' 3'", 2302),
+    ],
+    "W5": [(EXHAUSTED, None, 1), (EXHAUSTED, None, 466)],
+}
+
+KERNEL_GRAPHS = {
+    "C8": build_family("cycle", 8),
+    "L4": build_family("ladder", 4),
+    "Pr3": build_family("prism", 3),
+    "Pr4": build_family("prism", 4),
+    "H4": build_family("crown", 4),
+    "W6": add_apex(build_family("crown", 3), "c"),
+    "W5": add_apex(build_family("cycle", 5), "a"),
+}
 
 
 class TestKUniformSearch:
@@ -45,6 +106,11 @@ class TestKUniformSearch:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             find_k_uniform_representant(build_family("path", 3), 0)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError):
+            find_k_uniform_representant(build_family("cycle", 5), k)
 
     def test_empty_graph(self):
         cert = find_k_uniform_representant(Graph([], []), 2)
@@ -70,6 +136,36 @@ class TestKUniformSearch:
         if cert.status == WITNESS_FOUND:
             assert uniformity(cert.witness).k == 2
             assert naive_represents(cert.witness.letters, g)
+
+    @pytest.mark.parametrize("name", list(KERNEL_GOLDEN))
+    def test_golden_search_order(self, name):
+        res = representation_number(KERNEL_GRAPHS[name])
+        got = [
+            (c.status, c.witness and " ".join(c.witness.letters), c.nodes_explored)
+            for c in res.per_k
+        ]
+        assert got == KERNEL_GOLDEN[name]
+
+    @pytest.mark.parametrize("k,max_n", [(1, 4), (2, 4), (3, 3)])
+    def test_witness_exactly_when_one_exists(self, k, max_n):
+        """Against every k-uniform word, for every labelled graph that small.
+
+        Checks that the symmetry reductions and the final-copy pruning never
+        cut the last witness away.
+        """
+        for n in range(1, max_n + 1):
+            labels = [str(i) for i in range(1, n + 1)]
+            reachable = {
+                frozenset(naive_edge_set(w)) for w in naive_k_uniform_words(labels, k)
+            }
+            pairs = list(combinations(labels, 2))
+            for mask in range(1 << len(pairs)):
+                edges = [p for t, p in enumerate(pairs) if mask >> t & 1]
+                target = frozenset(map(frozenset, edges))
+                cert = find_k_uniform_representant(Graph(labels, edges), k)
+                assert (cert.status == WITNESS_FOUND) == (target in reachable), (k, edges)
+                if cert.witness is not None:
+                    assert naive_edge_set(cert.witness.letters) == target
 
 
 class TestRepresentationNumber:
@@ -143,6 +239,11 @@ class TestRepresentationNumber:
         res = representation_number(build_family("prism", 3))
         assert res.orientation.status == WITNESS_FOUND
         assert is_semi_transitive(res.orientation.witness)
+
+    @pytest.mark.parametrize("max_k", [1.5, True, "3"])
+    def test_non_integer_max_k_rejected(self, max_k):
+        with pytest.raises(ValueError):
+            representation_number(build_family("cycle", 5), max_k=max_k)
 
     def test_nodes_sum(self):
         res = representation_number(build_family("cycle", 5))
@@ -265,6 +366,11 @@ class TestPermutationalRepresentation:
         cert = find_permutational_representation(g, 2)
         assert cert.status == WITNESS_FOUND
         assert naive_represents(cert.witness.word().letters, g)
+
+    @pytest.mark.parametrize("k", [1.5, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError):
+            find_permutational_representation(build_family("crown", 2), k)
 
     def test_padding_to_larger_k(self):
         g = build_family("crown", 2)
