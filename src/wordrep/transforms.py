@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .errors import VerificationError
 from .graphs import Graph, build_family, validate_label
@@ -23,7 +23,6 @@ from .search import (
 )
 from .words import (
     Word,
-    alternates,
     cyclic_shift,
     derive_graph,
     extend_uniform,
@@ -100,6 +99,14 @@ def _require_uniform(w: Word, minimum: int, what: str) -> int:
     if prof.k < minimum:
         raise ValueError(f"{what} must be at least {minimum}-uniform, got k={prof.k}")
     return prof.k
+
+
+def _check_size(what: str, value: object, minimum: int) -> None:
+    # bool is an int subclass, and a float size fails later inside range()
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
 
 
 def _verified(result: Word, target: Graph, what: str) -> Word:
@@ -319,8 +326,7 @@ def ladder_word(n: int) -> Word:
     Start from 1 1' 1 1'; to grow from i to i+1 rungs, replace the factor
     i' i by (i+1)' i' (i+1) (i+1)' i (i+1) and reverse the whole word.
     """
-    if n < 1:
-        raise ValueError(f"ladder size must be at least 1, got {n}")
+    _check_size("ladder size", n, 1)
     letters = ["1", "1'", "1", "1'"]
     for i in range(1, n):
         a, ap = str(i), str(i) + "'"
@@ -343,8 +349,7 @@ def crown_perm_word(k: int) -> Word:
     descending order.  k = 1 keeps the special 2-uniform word 1 1' 1' 1 for
     the edgeless pair, which is not a permutation concatenation.
     """
-    if k < 1:
-        raise ValueError(f"crown size must be at least 1, got {k}")
+    _check_size("crown size", k, 1)
     if k == 1:
         return _verified(
             Word(["1", "1'", "1'", "1"]), build_family("crown", 1), "crown_perm_word"
@@ -413,8 +418,7 @@ def cycle_word(n: int) -> Word:
     at the front of the path word; the first candidate swap whose result
     verifies is returned.
     """
-    if n < 3:
-        raise ValueError(f"cycle length must be at least 3, got {n}")
+    _check_size("cycle length", n, 3)
     target = build_family("cycle", n)
     labels = [str(i) for i in range(1, n + 1)]
     path = Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
@@ -454,15 +458,20 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
 
     The internal vertices hang off x as a chain of pendant leaves; the final
     edge to y is then realized by re-inserting the last internal vertex's
-    three copies in every position triple until the whole target verifies.
-    If no re-insertion works, the target goes to the exhaustive 3-uniform
-    search, which the underlying existence theorem guarantees to succeed.
+    three copies at position triples a <= b <= c of the remaining letters,
+    in ascending order, until one gives the target.  Every letter z has three
+    copies, so the tail alternates with z exactly when z occurs once in each
+    of the two stretches between the tail's copies; with a table of the
+    letters that occur exactly once in each stretch, a triple costs one AND
+    and one compare, and only the chosen word is built and verified.  If none
+    of the first 200 000 triples works, the target goes to the exhaustive
+    3-uniform search, which the underlying existence theorem guarantees to
+    succeed.
     """
     k = _require_uniform(w, 3, "add_path input")
     if k != 3:
         raise ValueError(f"add_path needs a 3-uniform word, got k={k}")
-    if length < 3:
-        raise ValueError(f"path length must be at least 3, got {length}")
+    _check_size("path length", length, 3)
     if x not in w.alphabet or y not in w.alphabet:
         raise ValueError("both endpoints must occur in the word")
     if x == y:
@@ -491,26 +500,24 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
 
     tail = internal[-1]
     kept = [t for t in grown.letters if t != tail]
-    wanted = set(target.neighbors(tail))
+    bit = {t: 1 << i for i, t in enumerate(dict.fromkeys(kept))}
+    want = sum(bit[t] for t in target.neighbors(tail))
     slots = len(kept)
-    budget = 200_000
-    for triple in combinations_with_replacement(range(slots + 1), 3):
-        budget -= 1
-        if budget < 0:
-            break
-        cand = list(kept)
-        for offset, at in enumerate(sorted(triple)):
-            cand.insert(at + offset, tail)
-        word = Word(cand)
-        ok = True
-        for other in word.alphabet:
-            if other == tail:
-                continue
-            if alternates(word, tail, other) != (other in wanted):
-                ok = False
-                break
-        if ok:
-            return _verified(word, target, "add_path")
+    # once[i][j]: the letters that occur exactly once in kept[i:j]
+    once = []
+    for i in range(slots + 1):
+        row = [0] * (i + 1)
+        seen = many = 0
+        for t in kept[i:]:
+            many |= seen & bit[t]
+            seen |= bit[t]
+            row.append(seen & ~many)
+        once.append(row)
+    triples = combinations_with_replacement(range(slots + 1), 3)
+    for a, b, c in islice(triples, 200_000):
+        if (once[a][b] & once[b][c]) == want:
+            cand = kept[:a] + [tail] + kept[a:b] + [tail] + kept[b:c] + [tail] + kept[c:]
+            return _verified(Word(cand), target, "add_path")
 
     FALLBACK_COUNTS["add_path"] += 1
     cert = find_k_uniform_representant(target, 3)

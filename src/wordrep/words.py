@@ -25,10 +25,16 @@ class Word:
     __slots__ = ("letters", "alphabet", "_occ")
 
     def __init__(self, letters: Iterable[str]):
-        lets = tuple(validate_label(t) for t in letters)
+        lets = tuple(letters)
         occ: dict[str, list[int]] = {}
         for i, t in enumerate(lets):
-            occ.setdefault(t, []).append(i)
+            # a label is validated at its first occurrence only; the type test
+            # comes first because a non-string token may be unhashable
+            ps = occ.get(t) if isinstance(t, str) else None
+            if ps is None:
+                occ[validate_label(t)] = [i]
+            else:
+                ps.append(i)
         self.letters = lets
         self.alphabet = tuple(occ)
         self._occ = {t: tuple(ps) for t, ps in occ.items()}

@@ -34,8 +34,62 @@ from wordrep import (
     tree_word,
     uniformity,
 )
-from conftest import CROWN_ROWS, LADDER_ROWS
-from oracles import naive_represents, random_graph, random_tree
+from conftest import CROWN_ROWS, LADDER_ROWS, PETERSEN_WORD
+from oracles import (
+    naive_reinsertion,
+    naive_represents,
+    random_graph,
+    random_tree,
+    random_uniform_word,
+)
+
+
+# str(add_path(Petersen word, x, y, 3)) on the pairs where it finishes within
+# seconds, and whether the exhaustive fallback produced the word
+ADD_PATH_GOLDEN = [
+    ("1", "2", False,
+     "p1 p2 1 p1 3 8 7 2 p2 9 6 10 7 4 9 3 5 4 1 2 8 3 10 7 6 8 5 10 p1 1 p2 9 4 5 6 2"),
+    ("1", "3", True,
+     "1 3 8 7 2 9 6 10 7 4 9 5 p1 1 p2 p1 3 2 p2 4 8 3 10 7 6 8 5 10 9 4 1 5 6 p1 p2 2"),
+    ("1", "5", False,
+     "p1 p2 1 p1 3 8 7 2 9 6 10 7 4 9 3 5 4 1 2 8 3 10 7 6 p2 8 5 10 p1 p2 1 9 4 5 6 2"),
+    ("1", "6", False,
+     "p1 p2 1 p1 3 8 7 2 9 6 10 7 4 9 3 5 4 1 2 p2 8 3 10 7 6 8 5 10 p1 1 9 4 5 p2 6 2"),
+    ("2", "3", True,
+     "3 1 8 7 2 9 6 10 7 4 9 5 1 p2 3 4 p1 2 p2 p1 8 3 10 7 6 8 5 10 9 p2 4 1 5 6 2 p1"),
+    ("2", "7", False,
+     "p2 1 3 8 7 p1 p2 2 p1 9 6 10 7 p2 4 9 3 5 4 1 2 8 3 10 7 6 8 5 10 1 9 4 5 6 p1 2"),
+    ("2", "8", False,
+     "1 p2 3 8 7 p1 p2 2 p1 9 6 10 7 4 9 3 5 4 1 2 8 3 10 7 p2 6 8 5 10 1 9 4 5 6 p1 2"),
+    ("3", "4", True,
+     "3 1 8 7 2 9 6 10 7 4 9 5 1 p1 3 2 p2 4 p1 8 3 10 7 6 8 5 10 9 p2 p1 4 1 p2 5 6 2"),
+    ("3", "5", True,
+     "3 1 8 7 2 9 6 10 7 4 9 5 1 p1 3 2 4 p2 p1 8 3 10 7 6 8 5 10 9 p2 p1 4 1 5 p2 6 2"),
+    ("3", "6", True,
+     "3 1 8 7 2 9 6 10 7 4 9 5 1 p1 3 2 p2 p1 4 8 3 10 7 6 8 5 10 9 4 1 5 p2 6 p1 2 p2"),
+    ("3", "8", False,
+     "1 p1 p2 3 p1 8 p2 7 2 9 6 10 7 4 9 3 5 4 1 2 8 p1 3 p2 10 7 6 8 5 10 1 9 4 5 6 2"),
+    ("3", "10", False,
+     "1 p1 p2 3 p1 8 7 2 9 6 10 7 4 9 3 5 4 1 2 8 p2 p1 3 10 p2 7 6 8 5 10 1 9 4 5 6 2"),
+    ("4", "6", False,
+     "1 3 8 7 2 9 6 10 7 p1 p2 4 p1 9 3 5 4 1 2 8 3 10 7 6 8 5 10 1 9 p2 p1 4 5 6 p2 2"),
+    ("4", "7", False,
+     "1 3 8 7 2 9 6 p2 10 7 p1 p2 4 p1 9 3 5 4 1 2 8 3 10 7 6 8 5 10 p2 1 9 p1 4 5 6 2"),
+    ("4", "9", False,
+     "p2 1 3 8 7 2 9 6 10 7 p1 p2 4 p1 9 p2 3 5 4 1 2 8 3 10 7 6 8 5 10 1 9 p1 4 5 6 2"),
+    ("4", "10", False,
+     "1 3 8 7 2 9 p2 6 10 7 p1 p2 4 p1 9 3 5 4 1 2 8 3 10 p2 7 6 8 5 10 1 9 p1 4 5 6 2"),
+    ("5", "6", False,
+     "1 3 8 7 2 9 6 10 7 4 9 3 p1 p2 5 p1 4 1 2 8 3 10 7 6 8 5 10 1 9 4 p2 p1 5 6 p2 2"),
+    ("6", "7", False,
+     "p2 1 3 8 7 2 9 p1 p2 6 p1 10 7 p2 4 9 3 5 4 1 2 8 3 10 7 6 8 5 10 1 9 4 5 p1 6 2"),
+    ("6", "9", False,
+     "1 3 8 7 p2 2 9 p1 p2 6 p1 10 7 4 9 p2 3 5 4 1 2 8 3 10 7 6 8 5 10 1 9 4 5 p1 6 2"),
+    ("7", "8", False,
+     "1 p2 3 8 p1 p2 7 p1 2 9 6 10 7 4 9 3 5 4 1 2 8 3 p2 10 p1 7 6 8 5 10 1 9 4 5 6 2"),
+    ("7", "10", False,
+     "1 3 8 p1 p2 7 p1 2 9 6 10 7 4 9 3 5 4 1 2 8 3 p2 10 p1 p2 7 6 8 5 10 1 9 4 5 6 2"),
+]
 
 
 def rep_word(g):
@@ -59,6 +113,11 @@ class TestLadderWords:
         with pytest.raises(ValueError):
             ladder_word(0)
 
+    def test_non_integer_size_rejected(self):
+        for n in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="ladder size must be an integer"):
+                ladder_word(n)
+
 
 class TestCrownWords:
     def test_rows_byte_exact(self):
@@ -74,6 +133,11 @@ class TestCrownWords:
         for k in range(2, 6):
             blocks = permutation_blocks(crown_perm_word(k))
             assert len(blocks) == k
+
+    def test_non_integer_size_rejected(self):
+        for k in (True, 2.0, None):
+            with pytest.raises(ValueError, match="crown size must be an integer"):
+                crown_perm_word(k)
 
 
 class TestTreeWord:
@@ -121,6 +185,11 @@ class TestCycleWord:
     def test_too_short(self):
         with pytest.raises(ValueError):
             cycle_word(2)
+
+    def test_non_integer_length_rejected(self):
+        for n in (True, 4.0, "4"):
+            with pytest.raises(ValueError, match="cycle length must be an integer"):
+                cycle_word(n)
 
 
 class TestAddLeaf:
@@ -194,6 +263,45 @@ class TestAddPath:
         host = extend_uniform(parse_word("1 2 1 3 2 3"))
         with pytest.raises(ValueError):
             add_path(host, "1", "3", 2)
+
+    def test_non_integer_length_rejected(self):
+        from wordrep import extend_uniform
+
+        host = extend_uniform(parse_word("1 2 1 3 2 3"))
+        for length in (True, 3.0, "3"):
+            with pytest.raises(ValueError, match="path length must be an integer"):
+                add_path(host, "1", "3", length)
+
+    def test_golden_petersen_pairs(self):
+        petersen = parse_word(PETERSEN_WORD)
+        for x, y, fell_back, want in ADD_PATH_GOLDEN:
+            reset_fallback_counts()
+            assert str(add_path(petersen, x, y, 3)) == want, (x, y)
+            assert fallback_counts().get("add_path", 0) == int(fell_back), (x, y)
+        assert sum(fell_back for _, _, fell_back, _ in ADD_PATH_GOLDEN) == 5
+
+    def test_reinsertion_matches_naive_oracle(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            length = rng.randint(3, 5)
+            host = Word(random_uniform_word(rng, n, 3))
+            x, y = rng.sample(list(host.alphabet), 2)
+            chain = [x] + [f"p{i}" for i in range(1, length)]
+            grown = host
+            for a, b in zip(chain, chain[1:]):
+                grown = add_leaf(grown, a, b)
+            tail = chain[-1]
+            kept = [t for t in grown.letters if t != tail]
+            want = naive_reinsertion(kept, tail, {chain[-2], y})
+            if want is None:
+                continue
+            found += 1
+            reset_fallback_counts()
+            assert list(add_path(host, x, y, length).letters) == want
+            assert fallback_counts().get("add_path", 0) == 0
+        assert found >= 30, found
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -42,6 +42,27 @@ def arbitrary_words(draw, max_n=6, max_len=14):
     return Word(alphabet + body)
 
 
+class TestWordConstruction:
+    def test_first_bad_token_is_reported(self):
+        # each distinct label is checked once, still in word order
+        cases = [
+            (["a", "a b", 3], "contains whitespace"),
+            (["a", "a", 3, "b c"], "must be a string, got int"),
+            (["a", ["x"], "a"], "must be a string, got list"),
+            (["a", "", "#"], "empty label"),
+            (["x", "y", "x", "->"], "'->' is reserved"),
+        ]
+        for letters, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Word(letters)
+
+    def test_repeated_labels_keep_positions(self):
+        w = Word(iter(["x", "y", "x", "z", "y"]))
+        assert w.alphabet == ("x", "y", "z")
+        assert w.occurrences("x") == (0, 2)
+        assert w.occurrences("y") == (1, 4)
+
+
 class TestParsing:
     def test_whitespace_tokens(self):
         w = parse_word("1 2' 1 2'")
