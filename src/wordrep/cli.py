@@ -10,40 +10,19 @@ as "-".
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shlex
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .chords import chord_diagram, chord_svg, crossing_graph
 from .errors import ParseError, VerificationError
 from .graphs import FAMILIES, Graph, build_family, format_graph, parse_graph
-from .orientations import exists_semi_transitive, format_orientation
-from .search import (
-    WITNESS_FOUND,
-    LinearOrderFamily,
-    find_k_uniform_representant,
-    representation_number,
-)
-from .transforms import (
-    CombineMode,
-    RepNumberInput,
-    add_leaf,
-    add_path,
-    combine,
-    combined_rep_number,
-    cone_word,
-    crown_perm_word,
-    cycle_word,
-    equalize_uniformity,
-    fallback_counts,
-    ladder_word,
-    substitute_module,
-    tree_word,
-)
-from .words import Word, format_word, parse_word, represents, uniformity
+
+if TYPE_CHECKING:
+    from .search import LinearOrderFamily
+    from .words import Word
 
 SEARCH_VERTEX_BOUND = 10
 ORIENT_VERTEX_BOUND = 9
@@ -70,6 +49,8 @@ def _load_graph(value: str) -> Graph:
 
 
 def _load_word(value: str, alphabet=None) -> Word:
+    from .words import parse_word
+
     if value == "-":
         text = sys.stdin.read()
     elif os.path.isfile(value):
@@ -89,6 +70,8 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def _digest(*parts: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for p in parts:
         h.update(p.encode("utf-8"))
@@ -129,6 +112,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .words import derive_graph, format_word, represents
+
     g = _load_graph(args.graph)
     w = _load_word(args.word, alphabet=g.labels)
     ok = represents(w, g)
@@ -136,8 +121,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     rep.add("inputs", _digest(format_graph(g), format_word(w)))
     rep.add("result", "true" if ok else "false")
     if not ok:
-        from .words import derive_graph
-
         got = derive_graph(w)
         got_edges = {frozenset(e) for e in got.edges()}
         want_edges = {frozenset(e) for e in g.edges()}
@@ -150,6 +133,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_repnum(args: argparse.Namespace) -> int:
+    from .search import WITNESS_FOUND, representation_number
+    from .words import format_word
+
     g = _load_graph(args.graph)
     _check_bound(g.n, SEARCH_VERTEX_BOUND, "repnum")
     res = representation_number(g, args.max_k)
@@ -170,6 +156,9 @@ def cmd_repnum(args: argparse.Namespace) -> int:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
+    from .search import WITNESS_FOUND, find_k_uniform_representant
+    from .words import Word, format_word
+
     g = _load_graph(args.graph)
     _check_bound(g.n, SEARCH_VERTEX_BOUND, "find")
     cert = find_k_uniform_representant(g, args.k)
@@ -188,6 +177,8 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
+    from .orientations import exists_semi_transitive, format_orientation
+
     g = _load_graph(args.graph)
     _check_bound(g.n, ORIENT_VERTEX_BOUND, "orient")
     t0 = time.perf_counter()
@@ -210,6 +201,8 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 
 def _emit_word_report(args: argparse.Namespace, w: Word, extra=()) -> None:
+    from .words import format_word, uniformity
+
     rep = _Report(args)
     prof = uniformity(w)
     rep.add("word", format_word(w))
@@ -221,11 +214,32 @@ def _emit_word_report(args: argparse.Namespace, w: Word, extra=()) -> None:
 
 
 def _parse_perm_args(perm_texts: list[str]) -> LinearOrderFamily:
+    from .search import LinearOrderFamily
+    from .words import parse_word
+
     orders = tuple(tuple(parse_word(p).letters) for p in perm_texts)
     return LinearOrderFamily(orders)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .transforms import (
+        CombineMode,
+        RepNumberInput,
+        add_leaf,
+        add_path,
+        combine,
+        combined_rep_number,
+        cone_word,
+        crown_perm_word,
+        cycle_word,
+        equalize_uniformity,
+        fallback_counts,
+        ladder_word,
+        substitute_module,
+        tree_word,
+    )
+    from .words import format_word
+
     before = sum(fallback_counts().values())
     if args.op == "add-leaf":
         w = add_leaf(_load_word(args.word), args.x, args.y)
@@ -274,6 +288,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .transforms import crown_perm_word, ladder_word
+    from .words import format_word
+
+    if args.max < 1:
+        raise ValueError(f"--max must be at least 1, got {args.max}")
     if args.which == "ladder":
         for n in range(1, args.max + 1):
             print(f"n={n}: {format_word(ladder_word(n))}")
@@ -284,6 +303,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_chord(args: argparse.Namespace) -> int:
+    from .chords import chord_diagram, chord_svg, crossing_graph
+    from .words import format_word
+
     w = _load_word(args.word)
     d = chord_diagram(w)
     svg = chord_svg(d)

@@ -13,14 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
+from typing import TYPE_CHECKING
 
 from .errors import VerificationError
 from .graphs import Graph, build_family, validate_label
-from .search import (
-    WITNESS_FOUND,
-    LinearOrderFamily,
-    find_k_uniform_representant,
-)
 from .words import (
     Word,
     cyclic_shift,
@@ -29,6 +25,9 @@ from .words import (
     represents,
     uniformity,
 )
+
+if TYPE_CHECKING:
+    from .search import LinearOrderFamily
 
 FALLBACK_COUNTS: Counter[str] = Counter()
 
@@ -248,6 +247,8 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
     if represents(attempt, target):
         return attempt
     FALLBACK_COUNTS["combine"] += 1
+    from .search import WITNESS_FOUND, find_k_uniform_representant
+
     cert = find_k_uniform_representant(target, k)
     if cert.status != WITNESS_FOUND:
         raise VerificationError(
@@ -520,6 +521,8 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
             return _verified(Word(cand), target, "add_path")
 
     FALLBACK_COUNTS["add_path"] += 1
+    from .search import WITNESS_FOUND, find_k_uniform_representant
+
     cert = find_k_uniform_representant(target, 3)
     if cert.status != WITNESS_FOUND:
         raise VerificationError(

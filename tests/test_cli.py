@@ -1,5 +1,12 @@
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wordrep
 from wordrep import VerificationError, build_family, format_graph, parse_graph
 from wordrep.cli import main
 from conftest import CROWN_ROWS, LADDER_ROWS, PETERSEN_WORD
@@ -144,8 +151,6 @@ class TestRepnum:
 
     @pytest.mark.parametrize("family,size", sorted(REPNUM_GOLDEN))
     def test_golden_reports(self, capsys, monkeypatch, family, size):
-        import io
-
         text = format_graph(build_family(family, size))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, _ = run(capsys, "repnum", "--graph", "-")
@@ -318,8 +323,6 @@ class TestErrorPaths:
         assert code == 2
 
     def test_stdin_graph(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("vertices: 1 2\n1 2\n"))
         code, out, _ = run(capsys, "repnum", "--graph", "-")
         assert code == 0
@@ -329,12 +332,10 @@ class TestErrorPaths:
         assert run(capsys, )[0] == 2
 
     def test_verification_failure_maps_to_three(self, capsys, monkeypatch):
-        import wordrep.cli as cli
-
         def boom(*args, **kwargs):
             raise VerificationError("synthetic check failure")
 
-        monkeypatch.setattr(cli, "add_leaf", boom)
+        monkeypatch.setattr("wordrep.transforms.add_leaf", boom)
         code, _, err = run(
             capsys, "transform", "add-leaf",
             "--word", "1212", "--x", "1", "--y", "3",
@@ -346,3 +347,440 @@ class TestErrorPaths:
         g.write_text("vertices: 1 2\n1 2\n")
         code, _, err = run(capsys, "check", "--word", "(12", "--graph", str(g))
         assert code == 2
+
+
+class TestTablesBounds:
+    @pytest.mark.parametrize("which,value", [("ladder", "0"), ("crown", "-2")])
+    def test_max_below_one_is_usage_error(self, capsys, which, value):
+        code, out, err = run(capsys, "tables", which, "--max", value)
+        assert code == 2 and out == ""
+        assert err == f"error: --max must be at least 1, got {value}\n"
+
+
+# Inputs of the golden corpus, written to the working directory.  `-` reads
+# k2.graph from stdin.
+GOLDEN_FILES = {
+    "pr3.graph": (
+        "vertices: 1 2 3 1' 2' 3'\n1 2\n1 3\n1 1'\n2 3\n2 2'\n3 3'\n"
+        "1' 2'\n1' 3'\n2' 3'\n"
+    ),
+    "k2.graph": "vertices: 1 2\n1 2\n",
+    "w5.graph": (
+        "vertices: 1 2 3 4 5 a\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+        "1 a\n2 a\n3 a\n4 a\n5 a\n"
+    ),
+    "c11.graph": "".join(f"{i} {i % 11 + 1}\n" for i in range(1, 12)),
+    "tree.graph": "vertices: 1 2 3 4\n1 2\n2 3\n2 4\n",
+}
+
+# name: (argv, exit code, stdout, stderr), byte for byte.  One invocation per
+# subcommand and per transform op, then the error paths.  argparse wraps its
+# usage text at $COLUMNS, which the tests pin to 80.
+CLI_GOLDEN = {
+    "build": (
+        ["build", "prism", "3"],
+        0,
+        """vertices: 1 2 3 1' 2' 3'
+1 2
+1 3
+1 1'
+2 3
+2 2'
+3 3'
+1' 2'
+1' 3'
+2' 3'
+""",
+        "",
+    ),
+    "build-out": (
+        ["build", "cycle", "5", "--out", "c5.graph"],
+        0,
+        "",
+        "",
+    ),
+    "check-true": (
+        [
+            "check", "--word", "1 2 3 1' 1 2' 2 3' 3 1' 1 2' 3' 1' 2 2' 3 3'",
+            "--graph", "pr3.graph",
+        ],
+        0,
+        """command: check --word '1 2 3 1'"'"' 1 2'"'"' 2 3'"'"' 3 1'"'"' 1 2'"'"' 3'"'"' 1'"'"' 2 2'"'"' 3 3'"'"'' --graph pr3.graph
+inputs: 2b20695cc7c8
+result: true
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "check-false": (
+        ["check", "--word", "1122", "--graph", "k2.graph"],
+        1,
+        """command: check --word 1122 --graph k2.graph
+inputs: 2679c7d9162a
+result: false
+extra-edges: -
+missing-edges: 1,2
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "repnum": (
+        ["repnum", "--graph", "pr3.graph"],
+        0,
+        """command: repnum --graph pr3.graph
+inputs: 8cd58887b949
+status: witness-found
+rep-number: 3
+witness: 1 2 3 1' 1 2' 2 3' 3 1' 1 2' 3' 1' 2 2' 3 3'
+k-1: exhausted nodes=0
+k-2: exhausted nodes=404
+k-3: witness-found nodes=18
+orientation: witness-found nodes=6
+nodes: 422
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "repnum-stdin": (
+        ["repnum", "--graph", "-"],
+        0,
+        """command: repnum --graph -
+inputs: 70693a9b9819
+status: witness-found
+rep-number: 1
+witness: 1 2
+k-1: witness-found nodes=0
+nodes: 0
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "find": (
+        ["find", "--graph", "pr3.graph", "--k", "3"],
+        0,
+        """command: find --graph pr3.graph --k 3
+inputs: 8cd58887b949
+k: 3
+status: witness-found
+witness: 1 2 3 1' 1 2' 2 3' 3 1' 1 2' 3' 1' 2 2' 3 3'
+nodes: 18
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "orient": (
+        ["orient", "--graph", "pr3.graph"],
+        0,
+        """command: orient --graph pr3.graph
+inputs: 8cd58887b949
+status: semi-transitive
+witness: 1->2 1->3 1->1' 2->3 2->2' 3->3' 1'->2' 1'->3' 2'->3'
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "orient-none": (
+        ["orient", "--graph", "w5.graph"],
+        1,
+        """command: orient --graph w5.graph
+inputs: 948e51e5b323
+status: none
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "tables-ladder": (
+        ["tables", "ladder", "--max", "3"],
+        0,
+        """n=1: 1 1' 1 1'
+n=2: 1' 2 1 2' 2 1' 2' 1
+n=3: 1 2' 1' 3 2 3' 3 2' 3' 1 2 1'
+""",
+        "",
+    ),
+    "tables-crown": (
+        ["tables", "crown", "--max", "3"],
+        0,
+        """k=1: 1 1' 1' 1
+k=2: 1 2' 2 1' 2 1' 1 2'
+k=3: 1 2 3' 3 2' 1' 1 3 2' 2 3' 1' 2 3 1' 1 3' 2'
+""",
+        "",
+    ),
+    "chord": (
+        ["chord", "--word", "1 2 1 3 2 3", "--out", "d.svg"],
+        0,
+        """command: chord --word '1 2 1 3 2 3' --out d.svg
+inputs: 11cd2dae499d
+chords: 3
+crossings: 2
+out: d.svg
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "chord-stdout": (
+        ["chord", "--word", "1212", "--out", "-"],
+        0,
+        """<svg xmlns="http://www.w3.org/2000/svg" width="420" height="420" viewBox="0 0 420 420">
+<circle cx="210" cy="210" r="160" fill="none" stroke="#888" stroke-width="1"/>
+<line x1="210.0" y1="50.0" x2="210.0" y2="370.0" stroke="#1a6" stroke-width="1.5"/>
+<circle cx="210.0" cy="50.0" r="2.5" fill="#136"/>
+<text x="210.0" y="25.0" font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle">1</text>
+<circle cx="210.0" cy="370.0" r="2.5" fill="#136"/>
+<text x="210.0" y="395.0" font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle">1</text>
+<line x1="370.0" y1="210.0" x2="50.0" y2="210.0" stroke="#1a6" stroke-width="1.5"/>
+<circle cx="370.0" cy="210.0" r="2.5" fill="#136"/>
+<text x="395.0" y="210.0" font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle">2</text>
+<circle cx="50.0" cy="210.0" r="2.5" fill="#136"/>
+<text x="25.0" y="210.0" font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle">2</text>
+</svg>
+""",
+        "",
+    ),
+    "add-leaf": (
+        [
+            "transform", "add-leaf", "--word", "1 2 1 3 2 3", "--x", "3",
+            "--y", "4",
+        ],
+        0,
+        """command: transform add-leaf --word '1 2 1 3 2 3' --x 3 --y 4
+word: 1 2 1 4 3 4 2 3
+k: 2
+length: 8
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "add-path": (
+        [
+            "transform", "add-path", "--word", "1 2 3 1 2 3 1 2 3", "--x", "1",
+            "--y", "2", "--length", "3",
+        ],
+        0,
+        """command: transform add-path --word '1 2 3 1 2 3 1 2 3' --x 1 --y 2 --length 3
+word: p1 p2 1 p1 2 p2 3 1 2 3 p1 1 p2 2 3
+k: 3
+length: 15
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "combine-edge": (
+        [
+            "transform", "combine", "--mode", "connect-edge", "--word1", "a",
+            "--word2", "b b b", "--x", "a", "--y", "b",
+        ],
+        0,
+        """command: transform combine --mode connect-edge --word1 a --word2 'b b b' --x a --y b
+word: a b a b a b
+k: 3
+length: 6
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "combine-glue": (
+        [
+            "transform", "combine", "--mode", "glue-vertex", "--word1",
+            "x1 x x1 x", "--word2", "y y1 y y1", "--x", "x", "--y", "y", "--z",
+            "z",
+        ],
+        0,
+        """command: transform combine --mode glue-vertex --word1 'x1 x x1 x' --word2 'y y1 y y1' --x x --y y --z z
+word: x1 z x1 y1 z y1
+k: 2
+length: 6
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "module": (
+        [
+            "transform", "module", "--word", "1 2 1 2", "--x", "1", "--perm",
+            "a b", "--perm", "b a",
+        ],
+        0,
+        """command: transform module --word '1 2 1 2' --x 1 --perm 'a b' --perm 'b a'
+word: a b 2 b a 2
+k: 2
+length: 6
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "ladder": (
+        ["transform", "ladder", "--n", "3"],
+        0,
+        """command: transform ladder --n 3
+word: 1 2' 1' 3 2 3' 3 2' 3' 1 2 1'
+k: 2
+length: 12
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "crown": (
+        ["transform", "crown", "--k", "3"],
+        0,
+        """command: transform crown --k 3
+word: 1 2 3' 3 2' 1' 1 3 2' 2 3' 1' 2 3 1' 1 3' 2'
+k: 3
+length: 18
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "tree": (
+        ["transform", "tree", "--graph", "tree.graph"],
+        0,
+        """command: transform tree --graph tree.graph
+word: 3 4 2 4 3 1 2 1
+k: 2
+length: 8
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "cycle": (
+        ["transform", "cycle", "--n", "5"],
+        0,
+        """command: transform cycle --n 5
+word: 5 1 4 5 3 4 2 3 1 2
+k: 2
+length: 10
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "cone": (
+        ["transform", "cone", "--perm", "1 2", "--perm", "2 1", "--apex", "a"],
+        0,
+        """command: transform cone --perm '1 2' --perm '2 1' --apex a
+word: 1 2 a 2 1 a
+k: 2
+length: 6
+verified: true
+fallbacks: 0
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "rep-arith": (
+        [
+            "transform", "rep-arith", "--k1", "1", "--k2", "2", "--n1", "3",
+            "--n2", "4",
+        ],
+        0,
+        """command: transform rep-arith --k1 1 --k2 2 --n1 3 --n2 4
+connect-edge: 2
+glue-vertex: 2
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "usage": (
+        [],
+        2,
+        "",
+        """usage: wordrep [-h]
+               {build,check,repnum,find,orient,tables,chord,transform} ...
+wordrep: error: the following arguments are required: cmd
+""",
+    ),
+    "unknown-command": (
+        ["frobnicate"],
+        2,
+        "",
+        """usage: wordrep [-h]
+               {build,check,repnum,find,orient,tables,chord,transform} ...
+wordrep: error: argument cmd: invalid choice: 'frobnicate' (choose from 'build', 'check', 'repnum', 'find', 'orient', 'tables', 'chord', 'transform')
+""",
+    ),
+    "parse-error": (
+        ["check", "--word", "(12", "--graph", "k2.graph"],
+        2,
+        "",
+        """error: unbalanced '(' in word
+""",
+    ),
+    "missing-file": (
+        ["repnum", "--graph", "missing.graph"],
+        2,
+        "",
+        """error: [Errno 2] No such file or directory: 'missing.graph'
+""",
+    ),
+    "repnum-bound": (
+        ["repnum", "--graph", "c11.graph"],
+        2,
+        "",
+        """error: graph has 11 vertices; repnum runs an exhaustive search and supports at most 10
+""",
+    ),
+    "find-k0": (
+        ["find", "--graph", "pr3.graph", "--k", "0"],
+        2,
+        "",
+        """error: k must be a positive integer
+""",
+    ),
+}
+
+# Run also as `python -m wordrep.cli`, so the module entry point is covered.
+MODULE_RUNS = ["build", "check-true", "ladder", "usage", "repnum-bound"]
+
+
+@pytest.fixture()
+def golden_dir(tmp_path, monkeypatch):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    return tmp_path
+
+
+class TestGoldenCorpus:
+    @pytest.mark.parametrize("name", list(CLI_GOLDEN))
+    def test_in_process(self, capsys, monkeypatch, golden_dir, name):
+        argv, code, out, err = CLI_GOLDEN[name]
+        monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_FILES["k2.graph"]))
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("name", MODULE_RUNS)
+    def test_module_entry_point(self, golden_dir, name):
+        argv, code, out, err = CLI_GOLDEN[name]
+        src = str(Path(wordrep.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordrep.cli", *argv],
+            cwd=golden_dir,
+            env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

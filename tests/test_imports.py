@@ -1,0 +1,142 @@
+"""What a process loads: `import wordrep` loads no submodule, and each CLI
+subcommand imports only the submodules it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wordrep
+
+SRC = str(Path(wordrep.__file__).resolve().parents[1])
+
+PUBLIC_NAMES = [
+    "__version__", "ABORTED", "EXHAUSTED", "FAMILIES", "NOT_REPRESENTABLE",
+    "PETERSEN_EDGES", "WITNESS_FOUND", "Certificate", "ChordDiagram",
+    "CombineMode", "CombinedRepNumbers", "Graph", "LinearOrderFamily",
+    "Orientation", "ParseError", "RepNumberCertificate", "RepNumberInput",
+    "ShortcutWitness", "UniformityProfile", "VerificationError", "Word",
+    "add_apex", "add_leaf", "add_path", "alternates", "are_isomorphic",
+    "build_family", "chord_diagram", "chord_svg", "chords_cross",
+    "chromatic_number", "combine", "combined_rep_number", "concat_orders",
+    "cone_word", "crossing_graph", "crown_perm_word", "cyclic_shift",
+    "cycle_word", "derive_graph", "directed_cycle", "equalize_uniformity",
+    "exists_semi_transitive", "extend_uniform", "fallback_counts",
+    "find_k_uniform_representant", "find_permutational_representation",
+    "find_shortcut", "find_transitive_orientation", "format_graph",
+    "format_orientation", "format_word", "induced_subgraph",
+    "initial_permutation", "is_acyclic", "is_semi_transitive",
+    "is_shortcut_witness", "is_transitive", "ladder_word", "orient_by_order",
+    "parse_graph", "parse_orientation", "parse_word", "permutation_blocks",
+    "poset_dimension", "represents", "representation_number",
+    "reset_fallback_counts", "reverse", "substitute_module", "tree_word",
+    "uniformity",
+]
+
+# The sorted wordrep.* modules left in sys.modules after the statement runs.
+LOADED = """
+import sys
+{statement}
+print(*sorted(m for m in sys.modules if m == "wordrep" or m.startswith("wordrep.")))
+"""
+
+RUN_MAIN = """
+import contextlib, io
+from wordrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+"""
+
+CLI_BASE = ["cli", "errors", "graphs"]
+
+# subcommand: (argv, the wordrep submodules it loads beyond CLI_BASE)
+SUBCOMMAND_LOADS = {
+    "build": (["build", "prism", "3"], []),
+    "check": (["check", "--word", "1212", "--graph", "k2.graph"], ["words"]),
+    "orient": (["orient", "--graph", "k2.graph"], ["orientations"]),
+    "chord": (["chord", "--word", "1212", "--out", "-"], ["words", "chords"]),
+    "find": (
+        ["find", "--graph", "k2.graph", "--k", "1"],
+        ["words", "orientations", "search"],
+    ),
+    "repnum": (
+        ["repnum", "--graph", "k2.graph"],
+        ["words", "orientations", "search"],
+    ),
+    "transform": (
+        ["transform", "add-leaf", "--word", "1212", "--x", "1", "--y", "3"],
+        ["words", "transforms"],
+    ),
+    "tables": (["tables", "ladder", "--max", "2"], ["words", "transforms"]),
+}
+
+
+def loaded_modules(statement, *argv, cwd=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED.format(statement=statement), *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def qualified(*names):
+    return sorted(["wordrep"] + [f"wordrep.{n}" for n in names])
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import wordrep") == ["wordrep"]
+
+
+def test_from_import_loads_only_the_owning_module():
+    assert loaded_modules("from wordrep import Word") == qualified(
+        "errors", "graphs", "words"
+    )
+
+
+def test_submodule_is_an_attribute_after_a_bare_import():
+    got = loaded_modules("import wordrep\nwordrep.orientations")
+    assert got == qualified("errors", "graphs", "orientations")
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_LOADS))
+def test_subcommand_loads(tmp_path, sub):
+    argv, extra = SUBCOMMAND_LOADS[sub]
+    (tmp_path / "k2.graph").write_text("vertices: 1 2\n1 2\n")
+    got = loaded_modules(RUN_MAIN, *argv, cwd=tmp_path)
+    assert got == qualified(*CLI_BASE, *extra)
+
+
+def test_all_keeps_the_public_names():
+    assert sorted(wordrep.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(wordrep))
+
+
+def test_every_name_resolves():
+    for name in PUBLIC_NAMES:
+        value = getattr(wordrep, name)
+        assert vars(wordrep)[name] is value, name  # bound on first use
+        owner = getattr(value, "__module__", None)
+        if owner is not None and owner.startswith("wordrep."):
+            assert getattr(sys.modules[owner], name) is value, name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from wordrep import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["Word"] is wordrep.Word
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wordrep.no_such_name
+    with pytest.raises(ImportError):
+        exec("from wordrep import no_such_name", {})
