@@ -1,18 +1,16 @@
 """Constructive word builders for graph operations and families.
 
 Every builder re-derives the graph of its output and compares it against an
-independently constructed target; a mismatch is a hard failure.  The two
-operations whose constructions are attempt-based (add_path, combine) fall
-back to a bounded exhaustive search whose success is guaranteed by the
-existence results they implement; fallback invocations are counted in
-FALLBACK_COUNTS.
+independently constructed target; a mismatch is a hard failure.  The one
+attempt-based construction, combine, falls back to the exhaustive search,
+whose success is guaranteed by the existence results it implements;
+fallback invocations are counted in FALLBACK_COUNTS.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
 from typing import TYPE_CHECKING
 
 from .errors import VerificationError
@@ -121,6 +119,19 @@ def _with_edge(g: Graph, extra_vertex: str | None, extra_edges) -> Graph:
     return Graph(labels, list(g.edges()) + list(extra_edges))
 
 
+def _leaf_letters(letters, x: str, y: str) -> list[str]:
+    # y x y for the first x, x for the second, y x for each later one
+    out: list[str] = []
+    seen = 0
+    for t in letters:
+        if t == x:
+            seen += 1
+            out += (y, x, y) if seen == 1 else (x,) if seen == 2 else (y, x)
+        else:
+            out.append(t)
+    return out
+
+
 def add_leaf(w: Word, x: str, y: str) -> Word:
     """Extend a k-uniform word (k >= 2) by a pendant vertex y hanging off x.
 
@@ -129,23 +140,14 @@ def add_leaf(w: Word, x: str, y: str) -> Word:
     to the first x breaks alternation with every letter except x, while the
     x,y letters themselves interleave perfectly.
     """
-    k = _require_uniform(w, 2, "add_leaf input")
+    _require_uniform(w, 2, "add_leaf input")
     if x not in w.alphabet:
         raise ValueError(f"vertex {x!r} does not occur in the word")
     if y in w.alphabet:
         raise ValueError(f"label {y!r} is already taken")
     validate_label(y)
-    pos = w.occurrences(x)
-    letters: list[str] = []
-    for i, t in enumerate(w.letters):
-        if i == pos[0]:
-            letters += [y, x, y]
-        elif t == x and i != pos[1]:
-            letters += [y, x]
-        else:
-            letters.append(t)
     target = _with_edge(derive_graph(w), y, [(x, y)])
-    return _verified(Word(letters), target, "add_leaf")
+    return _verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
 
 
 def equalize_uniformity(w1: Word, w2: Word, minimum: int = 2) -> tuple[Word, Word]:
@@ -457,17 +459,32 @@ def cone_word(perms: LinearOrderFamily, apex: str) -> Word:
 def add_path(w: Word, x: str, y: str, length: int) -> Word:
     """Join x and y through a fresh path with `length` edges (length >= 3).
 
-    The internal vertices hang off x as a chain of pendant leaves; the final
-    edge to y is then realized by re-inserting the last internal vertex's
-    three copies at position triples a <= b <= c of the remaining letters,
-    in ascending order, until one gives the target.  Every letter z has three
-    copies, so the tail alternates with z exactly when z occurs once in each
-    of the two stretches between the tail's copies; with a table of the
-    letters that occur exactly once in each stretch, a triple costs one AND
-    and one compare, and only the chosen word is built and verified.  If none
-    of the first 200 000 triples works, the target goes to the exhaustive
-    3-uniform search, which the underlying existence theorem guarantees to
-    succeed.
+    This is the paper's path theorem made constructive; the word stays
+    3-uniform and each fresh vertex costs one linear pass, with no search.
+    The first length - 3 internal vertices hang off x as a chain of pendant
+    leaves (add_leaf's insertion rule); let u be the last vertex of that
+    chain (x itself when length == 3).  The two remaining fresh vertices a
+    and b join u to y.  The word is rotated to an occurrence X of u, which
+    keeps the graph because the word is uniform, and read as X M y R, where
+    the stretch M runs up to, but not including, the second y after X; the
+    result is
+
+        a X b a M b y a b R.
+
+    For letters with three copies, a alternates with z exactly when z occurs
+    once in each of the two stretches between a's copies.  a's stretches are
+    {X, b} and M + {b, y}, so a alternates with u and b only, provided M
+    holds exactly one u.  b's stretches are {a} + M and {y, a}, and M holds
+    exactly one y, so b alternates with a and y only.  Deleting a and b gives
+    back the rotated word, so no other pair changes.
+
+    Such an X always exists.  Let g1, g2, g3 be the numbers of y in the
+    cyclic stretches that follow u's three copies; they sum to 3.  When X
+    is the copy that opens stretch i, M holds exactly one u if g_i <= 1 and
+    g_i + g_(i+1) >= 2, i.e. the second y falls in the next stretch.  If
+    every g_i is 1, any i works; otherwise some g_j >= 2, and i = j - 1 has
+    g_i <= 1 and g_i + g_j >= 2.  The result is checked against the target
+    graph.
     """
     k = _require_uniform(w, 3, "add_path input")
     if k != 3:
@@ -493,40 +510,16 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
     ]
     target = Graph(labels, edges)
 
-    grown = w
-    anchor = x
-    for lab in internal:
-        grown = add_leaf(grown, anchor, lab)
-        anchor = lab
-
-    tail = internal[-1]
-    kept = [t for t in grown.letters if t != tail]
-    bit = {t: 1 << i for i, t in enumerate(dict.fromkeys(kept))}
-    want = sum(bit[t] for t in target.neighbors(tail))
-    slots = len(kept)
-    # once[i][j]: the letters that occur exactly once in kept[i:j]
-    once = []
-    for i in range(slots + 1):
-        row = [0] * (i + 1)
-        seen = many = 0
-        for t in kept[i:]:
-            many |= seen & bit[t]
-            seen |= bit[t]
-            row.append(seen & ~many)
-        once.append(row)
-    triples = combinations_with_replacement(range(slots + 1), 3)
-    for a, b, c in islice(triples, 200_000):
-        if (once[a][b] & once[b][c]) == want:
-            cand = kept[:a] + [tail] + kept[a:b] + [tail] + kept[b:c] + [tail] + kept[c:]
-            return _verified(Word(cand), target, "add_path")
-
-    FALLBACK_COUNTS["add_path"] += 1
-    from .search import WITNESS_FOUND, find_k_uniform_representant
-
-    cert = find_k_uniform_representant(target, 3)
-    if cert.status != WITNESS_FOUND:
-        raise VerificationError(
-            "add_path fallback exhausted a space that must contain a witness"
-        )
-    assert isinstance(cert.witness, Word)
-    return cert.witness
+    letters = list(w.letters)
+    u = x
+    for lab in internal[:-2]:
+        letters = _leaf_letters(letters, u, lab)
+        u = lab
+    a, b = internal[-2:]
+    for s in (i for i, t in enumerate(letters) if t == u):
+        rot = letters[s:] + letters[:s]
+        j = [i for i, t in enumerate(rot) if t == y][1]
+        if rot[1:j].count(u) == 1:
+            break  # a site exists (see above); if not, _verified fails
+    out = [a, u, b, a, *rot[1:j], b, y, a, b, *rot[j + 1 :]]
+    return _verified(Word(out), target, "add_path")

@@ -48,29 +48,6 @@ def naive_k_uniform_words(labels, k: int):
     yield from walk()
 
 
-def naive_reinsertion(kept, tail, wanted):
-    """The first word that puts three copies of tail into kept and makes tail
-    alternate with exactly the letters in wanted, or None.
-
-    Candidates are tried in the order of the insertion points (a, b, c),
-    0 <= a <= b <= c <= len(kept), ascending; each copy goes in front of
-    kept[a], kept[b] and kept[c] respectively.
-    """
-    slots = len(kept)
-    for a in range(slots + 1):
-        for b in range(a, slots + 1):
-            for c in range(b, slots + 1):
-                word = list(kept)
-                for at in (c, b, a):
-                    word.insert(at, tail)
-                if all(
-                    naive_alternates(word, tail, z) == (z in wanted)
-                    for z in set(kept)
-                ):
-                    return word
-    return None
-
-
 def graph_edge_set(g: Graph) -> set[frozenset]:
     return {frozenset(e) for e in g.edges()}
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import wordrep
-from wordrep import VerificationError, build_family, format_graph, parse_graph
+from wordrep import Graph, VerificationError, build_family, format_graph, parse_graph
 from wordrep.cli import main
 from conftest import CROWN_ROWS, LADDER_ROWS, PETERSEN_WORD
+from oracles import naive_represents
 
 
 def run(capsys, *argv):
@@ -255,6 +256,19 @@ class TestTransform:
         assert code == 0
         rep = report_dict(out)
         assert rep["verified"] == "true" and rep["k"] == "2"
+
+    def test_add_path_petersen(self, capsys, petersen):
+        # re-inserting the last path vertex alone cannot join 1 and 8 here
+        code, out, _ = run(
+            capsys, "transform", "add-path", "--word", PETERSEN_WORD,
+            "--x", "1", "--y", "8", "--length", "3",
+        )
+        assert code == 0
+        rep = report_dict(out)
+        assert rep["fallbacks"] == "0"
+        path = [("1", "p1"), ("p1", "p2"), ("p2", "8")]
+        target = Graph(list(petersen.labels) + ["p1", "p2"], list(petersen.edges()) + path)
+        assert naive_represents(rep["word"].split(), target)
 
     def test_combine_glue(self, capsys):
         code, out, _ = run(
@@ -566,7 +580,7 @@ version: wordrep 0.1.0
         ],
         0,
         """command: transform add-path --word '1 2 3 1 2 3 1 2 3' --x 1 --y 2 --length 3
-word: p1 p2 1 p1 2 p2 3 1 2 3 p1 1 p2 2 3
+word: p1 1 p2 p1 2 3 1 p2 2 p1 p2 3 1 2 3
 k: 3
 length: 15
 verified: true

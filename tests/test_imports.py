@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wordrep
+from conftest import PETERSEN_WORD
 
 SRC = str(Path(wordrep.__file__).resolve().parents[1])
 
@@ -112,6 +113,18 @@ def test_subcommand_loads(tmp_path, sub):
     (tmp_path / "k2.graph").write_text("vertices: 1 2\n1 2\n")
     got = loaded_modules(RUN_MAIN, *argv, cwd=tmp_path)
     assert got == qualified(*CLI_BASE, *extra)
+
+
+def test_add_path_never_loads_search():
+    # add_path is a direct construction; a search fallback would load search
+    statement = (
+        "from itertools import combinations\n"
+        "from wordrep import add_path, parse_word\n"
+        f"w = parse_word({PETERSEN_WORD!r})\n"
+        "for x, y in combinations(w.alphabet, 2):\n"
+        "    add_path(w, x, y, 3)"
+    )
+    assert loaded_modules(statement) == qualified("errors", "graphs", "transforms", "words")
 
 
 def test_all_keeps_the_public_names():
