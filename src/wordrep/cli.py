@@ -2,9 +2,9 @@
 
 Reports are stable-order `key: value` lines on stdout, diagnostics go to
 stderr.  Exit codes: 0 success/true, 1 false/exhausted/none, 2 usage or
-parse error, 3 internal verification failure.  In deterministic mode (the
-default) reports are byte-identical across runs, so elapsed times print
-as "-".
+parse error, 3 internal verification failure.  `repnum`, `find` and
+`orient` take `--deterministic`; in deterministic mode (the default) their
+elapsed times print as "-", so every report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -51,13 +51,7 @@ def _load_graph(value: str) -> Graph:
 def _load_word(value: str, alphabet=None) -> Word:
     from .words import parse_word
 
-    if value == "-":
-        text = sys.stdin.read()
-    elif os.path.isfile(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = value
+    text = _read_text(value) if value == "-" or os.path.isfile(value) else value
     return parse_word(text, alphabet)
 
 
@@ -222,67 +216,29 @@ def _parse_perm_args(perm_texts: list[str]) -> LinearOrderFamily:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    from .transforms import (
-        CombineMode,
-        RepNumberInput,
-        add_leaf,
-        add_path,
-        combine,
-        combined_rep_number,
-        cone_word,
-        crown_perm_word,
-        cycle_word,
-        equalize_uniformity,
-        fallback_counts,
-        ladder_word,
-        substitute_module,
-        tree_word,
-    )
-    from .words import format_word
+    from . import transforms
+    from .words import format_word, uniformity
 
-    before = sum(fallback_counts().values())
-    if args.op == "add-leaf":
-        w = add_leaf(_load_word(args.word), args.x, args.y)
-    elif args.op == "add-path":
-        w = add_path(_load_word(args.word), args.x, args.y, args.length)
-    elif args.op == "combine":
-        mode = CombineMode(
-            args.mode, args.z if args.mode == "glue-vertex" else None
+    rep = _Report(args)
+    if args.op == "rep-arith":
+        nums = transforms.combined_rep_number(
+            transforms.RepNumberInput(k1=args.k1, k2=args.k2, n1=args.n1, n2=args.n2)
         )
-        w1 = _load_word(args.word1)
-        w2 = _load_word(args.word2)
-        w1, w2 = equalize_uniformity(w1, w2)
-        w = combine(w1, w2, args.x, args.y, mode)
-    elif args.op == "module":
-        w = substitute_module(
-            _load_word(args.word), args.x, _parse_perm_args(args.perm)
-        )
-    elif args.op == "ladder":
-        w = ladder_word(args.n)
-    elif args.op == "crown":
-        w = crown_perm_word(args.k)
-    elif args.op == "tree":
-        w = tree_word(_load_graph(args.graph))
-    elif args.op == "cycle":
-        w = cycle_word(args.n)
-    elif args.op == "cone":
-        w = cone_word(_parse_perm_args(args.perm), args.apex)
-    elif args.op == "rep-arith":
-        nums = combined_rep_number(
-            RepNumberInput(k1=args.k1, k2=args.k2, n1=args.n1, n2=args.n2)
-        )
-        rep = _Report(args)
         rep.add("connect-edge", str(nums.connect_edge))
         rep.add("glue-vertex", str(nums.glue_vertex))
         rep.emit()
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown transform {args.op!r}")
-    fallbacks = sum(fallback_counts().values()) - before
-    _emit_word_report(
-        args, w, extra=(("verified", "true"), ("fallbacks", str(fallbacks)))
-    )
-    if getattr(args, "out", None):
+    before = sum(transforms.fallback_counts().values())
+    w = _TRANSFORMS[args.op][1](args, transforms)
+    fallbacks = sum(transforms.fallback_counts().values()) - before
+    prof = uniformity(w)
+    rep.add("word", format_word(w))
+    rep.add("k", str(prof.k) if prof.k is not None else "non-uniform")
+    rep.add("length", str(len(w)))
+    rep.add("verified", "true")
+    rep.add("fallbacks", str(fallbacks))
+    rep.emit()
+    if args.out:
         _write_out(args.out, format_word(w) + "\n")
     return 0
 
@@ -322,128 +278,132 @@ def cmd_chord(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--deterministic",
-        type=_bool_arg,
-        default=True,
-        metavar="BOOL",
-        help="stable byte-identical reports (default true)",
-    )
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
 
+
+DETERMINISTIC = _arg(
+    "--deterministic",
+    type=_bool_arg,
+    default=True,
+    metavar="BOOL",
+    help="stable byte-identical reports (default true)",
+)
+GRAPH = _arg("--graph", required=True)
+WORD = _arg("--word", required=True)
+X = _arg("--x", required=True)
+Y = _arg("--y", required=True)
+K = _arg("--k", type=int, required=True)
+N = _arg("--n", type=int, required=True)
+PERM = _arg("--perm", action="append", required=True)
+OUT = _arg("--out")
+
+
+def _combine(args: argparse.Namespace, t) -> Word:
+    mode = t.CombineMode(args.mode, args.z if args.mode == "glue-vertex" else None)
+    w1, w2 = t.equalize_uniformity(_load_word(args.word1), _load_word(args.word2))
+    return t.combine(w1, w2, args.x, args.y, mode)
+
+
+# transform op: (options, build(args, transforms module) -> Word); rep-arith
+# prints two numbers instead of a word.
+_TRANSFORMS = {
+    "add-leaf": (
+        (WORD, X, Y, OUT),
+        lambda a, t: t.add_leaf(_load_word(a.word), a.x, a.y),
+    ),
+    "add-path": (
+        (WORD, X, Y, _arg("--length", type=int, required=True), OUT),
+        lambda a, t: t.add_path(_load_word(a.word), a.x, a.y, a.length),
+    ),
+    "combine": (
+        (
+            _arg("--mode", choices=("connect-edge", "glue-vertex"), required=True),
+            _arg("--word1", required=True),
+            _arg("--word2", required=True),
+            X,
+            Y,
+            _arg("--z", default="z", help="merged label for glue-vertex"),
+            OUT,
+        ),
+        _combine,
+    ),
+    "module": (
+        (WORD, X, PERM, OUT),
+        lambda a, t: t.substitute_module(_load_word(a.word), a.x, _parse_perm_args(a.perm)),
+    ),
+    "ladder": ((N, OUT), lambda a, t: t.ladder_word(a.n)),
+    "crown": ((K, OUT), lambda a, t: t.crown_perm_word(a.k)),
+    "tree": ((GRAPH, OUT), lambda a, t: t.tree_word(_load_graph(a.graph))),
+    "cycle": ((N, OUT), lambda a, t: t.cycle_word(a.n)),
+    "cone": (
+        (PERM, _arg("--apex", required=True), OUT),
+        lambda a, t: t.cone_word(_parse_perm_args(a.perm), a.apex),
+    ),
+    "rep-arith": (
+        tuple(_arg(f"--{f}", type=int, required=True) for f in ("k1", "k2", "n1", "n2")),
+        None,
+    ),
+}
+
+# subcommand: (help, options, handler); `transform` takes its ops from above.
+_COMMANDS = {
+    "build": (
+        "emit a named family graph",
+        (_arg("family", choices=FAMILIES), _arg("size", type=int), OUT),
+        cmd_build,
+    ),
+    "check": (
+        "verify a word against a graph",
+        (
+            _arg("--word", required=True, help="word: file, -, or literal tokens"),
+            _arg("--graph", required=True, help="graph file or -"),
+        ),
+        cmd_check,
+    ),
+    "repnum": (
+        "exact representation number",
+        (DETERMINISTIC, GRAPH, _arg("--max-k", type=int)),
+        cmd_repnum,
+    ),
+    "find": ("search a k-uniform representant", (DETERMINISTIC, GRAPH, K), cmd_find),
+    "orient": (
+        "find a semi-transitive orientation",
+        (DETERMINISTIC, GRAPH, _arg("--out", help="write orientation text here")),
+        cmd_orient,
+    ),
+    "tables": (
+        "reproduce the word tables",
+        (_arg("which", choices=("ladder", "crown")), _arg("--max", type=int, required=True)),
+        cmd_tables,
+    ),
+    "chord": (
+        "export a chord diagram SVG",
+        (WORD, _arg("--out", required=True)),
+        cmd_chord,
+    ),
+    "transform": ("apply a word construction", (), cmd_transform),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, options) -> None:
+    for flags, kwargs in options:
+        p.add_argument(*flags, **kwargs)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representable graphs: verify, search, orient, construct.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("build", parents=[common], help="emit a named family graph")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("size", type=int)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("check", parents=[common], help="verify a word against a graph")
-    p.add_argument("--word", required=True, help="word: file, -, or literal tokens")
-    p.add_argument("--graph", required=True, help="graph file or -")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("repnum", parents=[common], help="exact representation number")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p.set_defaults(func=cmd_repnum)
-
-    p = sub.add_parser("find", parents=[common], help="search a k-uniform representant")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_find)
-
-    p = sub.add_parser(
-        "orient", parents=[common], help="find a semi-transitive orientation"
-    )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", default=None, help="write orientation text here")
-    p.set_defaults(func=cmd_orient)
-
-    p = sub.add_parser("tables", parents=[common], help="reproduce the word tables")
-    p.add_argument("which", choices=("ladder", "crown"))
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("chord", parents=[common], help="export a chord diagram SVG")
-    p.add_argument("--word", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_chord)
-
-    t = sub.add_parser("transform", parents=[common], help="apply a word construction")
-    tsub = t.add_subparsers(dest="op", required=True)
-
-    q = tsub.add_parser("add-leaf", parents=[common])
-    q.add_argument("--word", required=True)
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("add-path", parents=[common])
-    q.add_argument("--word", required=True)
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--length", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("combine", parents=[common])
-    q.add_argument("--mode", choices=("connect-edge", "glue-vertex"), required=True)
-    q.add_argument("--word1", required=True)
-    q.add_argument("--word2", required=True)
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--z", default="z", help="merged label for glue-vertex")
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("module", parents=[common])
-    q.add_argument("--word", required=True)
-    q.add_argument("--x", required=True)
-    q.add_argument("--perm", action="append", required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("ladder", parents=[common])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("crown", parents=[common])
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("tree", parents=[common])
-    q.add_argument("--graph", required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("cycle", parents=[common])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("cone", parents=[common])
-    q.add_argument("--perm", action="append", required=True)
-    q.add_argument("--apex", required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_transform)
-
-    q = tsub.add_parser("rep-arith", parents=[common])
-    q.add_argument("--k1", type=int, required=True)
-    q.add_argument("--k2", type=int, required=True)
-    q.add_argument("--n1", type=int, required=True)
-    q.add_argument("--n2", type=int, required=True)
-    q.set_defaults(func=cmd_transform)
-
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_options(p, options)
+        p.set_defaults(func=handler)
+    ops = sub.choices["transform"].add_subparsers(dest="op", required=True)
+    for op, (options, _) in _TRANSFORMS.items():
+        _add_options(ops.add_parser(op), options)
     return parser
 
 

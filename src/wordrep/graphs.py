@@ -8,7 +8,7 @@ an existing instance.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -294,6 +294,59 @@ def chromatic_number(g: Graph) -> int:
     return n
 
 
+def _read_pairs(
+    text: str, split: Callable[[str], Sequence[str]]
+) -> tuple[list[str], list[tuple[int, str, str]]]:
+    """Read the line format shared by graph and orientation text.
+
+    '#' starts a comment.  An optional ``vertices: tok tok ...`` header, before
+    any other line, fixes the vertices and their order; without it, vertices
+    are the tokens in first-use order.  ``split(line)`` returns the two tokens
+    of every other line or raises ValueError.  Returns the labels and the
+    ``(line, a, b)`` pairs; every error is a ParseError naming its line.
+    """
+    header: list[str] | None = None
+    order: list[str] = []
+    seen: set[str] = set()
+    pairs: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("vertices:"):
+                if header is not None:
+                    raise ValueError("duplicate vertices header")
+                if pairs:
+                    raise ValueError("vertices header must precede edges")
+                toks = line[len("vertices:"):].split()
+                if len(set(toks)) != len(toks):
+                    raise ValueError("duplicate vertex in header")
+                header = [validate_label(t) for t in toks]
+                seen = set(header)
+                continue
+            a, b = split(line)
+            if a == b:
+                raise ValueError(f"loop edge at {a!r}")
+            for tok in (a, b):
+                if tok not in seen:
+                    if header is not None:
+                        raise ValueError(f"vertex {tok!r} not in header")
+                    seen.add(validate_label(tok))
+                    order.append(tok)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        pairs.append((lineno, a, b))
+    return (order if header is None else header), pairs
+
+
+def _split_edge(line: str) -> list[str]:
+    toks = line.split()
+    if len(toks) != 2:
+        raise ValueError(f"expected two vertex tokens, got {len(toks)}")
+    return toks
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format.
 
@@ -301,47 +354,8 @@ def parse_graph(text: str) -> Graph:
     per line as two whitespace-separated tokens.  '#' starts a comment.
     Isolated vertices exist only if listed in the header.
     """
-    header: list[str] | None = None
-    order: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vertices:"):
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate vertices header")
-            if edges:
-                raise ParseError(f"line {lineno}: vertices header must precede edges")
-            toks = line[len("vertices:"):].split()
-            if len(set(toks)) != len(toks):
-                raise ParseError(f"line {lineno}: duplicate vertex in header")
-            try:
-                header = [validate_label(t) for t in toks]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise ParseError(f"line {lineno}: expected two vertex tokens, got {len(toks)}")
-        a, b = toks
-        if a == b:
-            raise ParseError(f"line {lineno}: loop edge at {a!r}")
-        for tok in (a, b):
-            if header is not None:
-                if tok not in header:
-                    raise ParseError(f"line {lineno}: vertex {tok!r} not in header")
-            elif tok not in seen:
-                try:
-                    validate_label(tok)
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                seen.add(tok)
-                order.append(tok)
-        edges.append((a, b))
-    labels = header if header is not None else order
-    return Graph(labels, edges)
+    labels, pairs = _read_pairs(text, _split_edge)
+    return Graph(labels, [(a, b) for _, a, b in pairs])
 
 
 def format_graph(g: Graph) -> str:

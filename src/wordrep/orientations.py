@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _read_pairs, iter_bits
 
 
 class Orientation:
@@ -394,52 +394,24 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     return orient_by_order(g, [labs[i] for i in order]), nodes
 
 
+def _split_arc(line: str) -> tuple[str, str]:
+    toks = line.split()
+    if len(toks) != 3 or toks[1] != "->":
+        raise ValueError(f"expected `u -> v`, got {line!r}")
+    return toks[0], toks[2]
+
+
 def parse_orientation(text: str) -> Orientation:
     """Parse orientation text: the graph format with `u -> v` arc lines."""
-    header: list[str] | None = None
-    arcs: list[tuple[str, str]] = []
+    labels, pairs = _read_pairs(text, _split_arc)
     seen: set[frozenset[str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vertices:"):
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate vertices header")
-            if arcs:
-                raise ParseError(f"line {lineno}: vertices header must come first")
-            header = line[len("vertices:") :].split()
-            continue
-        toks = line.split()
-        if len(toks) != 3 or toks[1] != "->":
-            raise ParseError(f"line {lineno}: expected `u -> v`, got {line!r}")
-        u, _, v = toks
-        if u == v:
-            raise ParseError(f"line {lineno}: loop at {u!r}")
+    for lineno, u, v in pairs:
         key = frozenset((u, v))
         if key in seen:
             raise ParseError(f"line {lineno}: edge ({u}, {v}) directed more than once")
         seen.add(key)
-        arcs.append((u, v))
-
-    labels: list[str] = []
-    known: set[str] = set()
-    if header is not None:
-        for t in header:
-            if t in known:
-                raise ParseError(f"duplicate vertex {t!r} in header")
-            known.add(t)
-            labels.append(t)
-    for u, v in arcs:
-        for t in (u, v):
-            if t not in known:
-                if header is not None:
-                    raise ParseError(f"arc vertex {t!r} not in vertices header")
-                known.add(t)
-                labels.append(t)
-
-    base = Graph(labels, arcs)
-    return Orientation(base, arcs)
+    arcs = [(u, v) for _, u, v in pairs]
+    return Orientation(Graph(labels, arcs), arcs)
 
 
 def format_orientation(d: Orientation) -> str:

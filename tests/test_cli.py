@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import wordrep
 from wordrep import Graph, VerificationError, build_family, format_graph, parse_graph
-from wordrep.cli import main
+from wordrep.cli import _build_parser, main
 from conftest import CROWN_ROWS, LADDER_ROWS, PETERSEN_WORD
 from oracles import naive_represents
 
@@ -361,6 +362,16 @@ class TestErrorPaths:
         g.write_text("vertices: 1 2\n1 2\n")
         code, _, err = run(capsys, "check", "--word", "(12", "--graph", str(g))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--deterministic", "true", "prism", "3"],
+        ["tables", "ladder", "--max", "2", "--deterministic", "true"],
+        ["transform", "--deterministic", "true", "cycle", "--n", "4"],
+        ["transform", "cycle", "--n", "4", "--deterministic", "true"],
+    ])
+    def test_deterministic_only_where_time_is_printed(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
 
 
 class TestTablesBounds:
@@ -762,10 +773,76 @@ wordrep: error: argument cmd: invalid choice: 'frobnicate' (choose from 'build',
         """error: k must be a positive integer
 """,
     ),
+    "orient-out": (
+        ["orient", "--graph", "pr3.graph", "--out", "pr3.orient"],
+        0,
+        """command: orient --graph pr3.graph --out pr3.orient
+inputs: 8cd58887b949
+status: semi-transitive
+witness: 1->2 1->3 1->1' 2->3 2->2' 3->3' 1'->2' 1'->3' 2'->3'
+elapsed-ms: -
+version: wordrep 0.1.0
+""",
+        "",
+    ),
+    "build-bad-family": (
+        ["build", "tesseract", "4"],
+        2,
+        "",
+        """usage: wordrep build [-h] [--out OUT]
+                     {complete,path,cycle,prism,ladder,crown,petersen} size
+wordrep build: error: argument family: invalid choice: 'tesseract' (choose from 'complete', 'path', 'cycle', 'prism', 'ladder', 'crown', 'petersen')
+""",
+    ),
+    "transform-no-op": (
+        ["transform"],
+        2,
+        "",
+        """usage: wordrep transform [-h]
+                         {add-leaf,add-path,combine,module,ladder,crown,tree,cycle,cone,rep-arith}
+                         ...
+wordrep transform: error: the following arguments are required: op
+""",
+    ),
+    "add-path-no-length": (
+        [
+            "transform", "add-path", "--word", "1 2 3 1 2 3 1 2 3", "--x", "1",
+            "--y", "2",
+        ],
+        2,
+        "",
+        """usage: wordrep transform add-path [-h] --word WORD --x X --y Y --length LENGTH
+                                  [--out OUT]
+wordrep transform add-path: error: the following arguments are required: --length
+""",
+    ),
+}
+
+# name: (file the invocation writes, its text), byte for byte.
+GOLDEN_WRITES = {
+    "orient-out": (
+        "pr3.orient",
+        """vertices: 1 2 3 1' 2' 3'
+1 -> 2
+1 -> 3
+1 -> 1'
+2 -> 3
+2 -> 2'
+3 -> 3'
+1' -> 2'
+1' -> 3'
+2' -> 3'
+""",
+    ),
 }
 
 # Run also as `python -m wordrep.cli`, so the module entry point is covered.
 MODULE_RUNS = ["build", "check-true", "ladder", "usage", "repnum-bound"]
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 @pytest.fixture()
@@ -783,6 +860,19 @@ class TestGoldenCorpus:
         argv, code, out, err = CLI_GOLDEN[name]
         monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_FILES["k2.graph"]))
         assert run(capsys, *argv) == (code, out, err)
+        if name in GOLDEN_WRITES:
+            path, text = GOLDEN_WRITES[name]
+            assert (golden_dir / path).read_text() == text
+
+    def test_every_subcommand_and_op_is_pinned(self):
+        commands = subcommands(_build_parser())
+        want = {(c,) for c in commands if c != "transform"}
+        want |= {("transform", op) for op in subcommands(commands["transform"])}
+        pinned = {
+            tuple(argv[:2]) if argv[:1] == ["transform"] else tuple(argv[:1])
+            for argv, _, _, _ in CLI_GOLDEN.values()
+        }
+        assert want - pinned == set()
 
     @pytest.mark.parametrize("name", MODULE_RUNS)
     def test_module_entry_point(self, golden_dir, name):

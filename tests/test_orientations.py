@@ -162,3 +162,15 @@ class TestOrientationText:
     def test_missing_arrow(self):
         with pytest.raises(ParseError):
             parse_orientation("vertices: 1 2\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("vertices: -> b\n", 1),
+            ("# header\nvertices: a b a\n", 2),
+            ("vertices: a b\na -> b\nb -> c\n", 3),
+        ],
+    )
+    def test_header_errors_carry_line_number(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            parse_orientation(text)
