@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "search": (
         "ABORTED", "EXHAUSTED", "NOT_REPRESENTABLE", "WITNESS_FOUND", "Certificate",
-        "LinearOrderFamily", "RepNumberCertificate", "find_k_uniform_representant",
+        "RepNumberCertificate", "find_k_uniform_representant",
         "find_permutational_representation", "find_transitive_orientation",
         "poset_dimension", "representation_number",
     ),
@@ -38,9 +38,10 @@ _EXPORTS = {
         "substitute_module", "tree_word",
     ),
     "words": (
-        "UniformityProfile", "Word", "alternates", "concat_orders", "cyclic_shift",
-        "derive_graph", "extend_uniform", "format_word", "initial_permutation",
-        "parse_word", "permutation_blocks", "represents", "reverse", "uniformity",
+        "LinearOrderFamily", "UniformityProfile", "Word", "alternates", "concat_orders",
+        "cyclic_shift", "derive_graph", "extend_uniform", "format_word",
+        "initial_permutation", "parse_word", "permutation_blocks", "represents",
+        "reverse", "uniformity",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,14 +9,13 @@ diagram equals the derived graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 from .words import Word, uniformity
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(NamedTuple):
     """Positions 0..2n-1 on a circle, one chord per letter."""
 
     chords: tuple[tuple[str, tuple[int, int]], ...]

@@ -21,8 +21,7 @@ from .errors import ParseError, VerificationError
 from .graphs import FAMILIES, Graph, build_family, format_graph, parse_graph
 
 if TYPE_CHECKING:
-    from .search import LinearOrderFamily
-    from .words import Word
+    from .words import LinearOrderFamily, Word
 
 SEARCH_VERTEX_BOUND = 10
 ORIENT_VERTEX_BOUND = 9
@@ -208,8 +207,7 @@ def _emit_word_report(args: argparse.Namespace, w: Word, extra=()) -> None:
 
 
 def _parse_perm_args(perm_texts: list[str]) -> LinearOrderFamily:
-    from .search import LinearOrderFamily
-    from .words import parse_word
+    from .words import LinearOrderFamily, parse_word
 
     orders = tuple(tuple(parse_word(p).letters) for p in perm_texts)
     return LinearOrderFamily(orders)
@@ -391,7 +389,13 @@ def _add_options(p: argparse.ArgumentParser, options) -> None:
         p.add_argument(*flags, **kwargs)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand; with a command, only that one declares its options.
+
+    argparse hands the arguments to the one subcommand that argv names, so a
+    process that runs one need not build the others' options or transform's
+    ten ops.
+    """
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representable graphs: verify, search, orient, construct.",
@@ -399,19 +403,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_options(p, options)
+        if command in (None, name):
+            _add_options(p, options)
         p.set_defaults(func=handler)
-    ops = sub.choices["transform"].add_subparsers(dest="op", required=True)
-    for op, (options, _) in _TRANSFORMS.items():
-        _add_options(ops.add_parser(op), options)
+    if command in (None, "transform"):
+        ops = sub.choices["transform"].add_subparsers(dest="op", required=True)
+        for op, (options, _) in _TRANSFORMS.items():
+            _add_options(ops.add_parser(op), options)
     return parser
+
+
+def _reject_unknown_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Fail on a `--name` token that the subcommand and op argv selects lack.
+
+    Without this, argparse binds the value after an unknown flag placed before
+    a positional to that positional and reports the value as an invalid
+    choice.  Abbreviations and tokens with a space pass, as argparse takes
+    them as an option and as a value.
+    """
+    table, declared = _COMMANDS, ["--help"]
+    for tok in argv:
+        if tok == "--":
+            return
+        if tok.startswith("--") and " " not in tok:
+            name = tok.partition("=")[0]
+            if not any(d.startswith(name) for d in declared):
+                parser.error(f"unrecognized arguments: {name}")
+        elif table is not None and not tok.startswith("-"):
+            if tok not in table:
+                return  # argparse reports the invalid choice
+            options = _COMMANDS[tok][1] if table is _COMMANDS else _TRANSFORMS[tok][0]
+            declared = ["--help", *(f for flags, _ in options for f in flags)]
+            table = _TRANSFORMS if tok == "transform" else None
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    # argv[0] is the subcommand whenever it names one: the top level has no
+    # option that takes a value
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
+        _reject_unknown_options(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -7,8 +7,7 @@ v1 -> vk such that some pair of path vertices is non-adjacent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 from .graphs import Graph, _read_pairs, iter_bits
@@ -72,8 +71,7 @@ class Orientation:
         return f"Orientation({body})"
 
 
-@dataclass(frozen=True)
-class ShortcutWitness:
+class ShortcutWitness(NamedTuple):
     """A directed path plus its closing arc and one non-adjacent vertex pair.
 
     path lists at least four vertices; consecutive ones are joined by arcs,

@@ -9,17 +9,14 @@ reductions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
 from .graphs import Graph, iter_bits
-from .orientations import (
-    Orientation,
-    _semi_transitive_search,
-    is_semi_transitive,
-    is_transitive,
-)
-from .words import Word, concat_orders, represents
+from .words import LinearOrderFamily, Word, represents
+
+if TYPE_CHECKING:
+    from .orientations import Orientation
 
 WITNESS_FOUND = "witness-found"
 EXHAUSTED = "exhausted"
@@ -37,8 +34,7 @@ def _check_positive(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome record of one search.
 
     status is "witness-found", "exhausted", or "aborted"; witness is a Word,
@@ -52,26 +48,7 @@ class Certificate:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class LinearOrderFamily:
-    """A non-empty list of vertex permutations over one common vertex set."""
-
-    orders: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.orders:
-            raise ValueError("a linear order family must contain at least one order")
-        base = set(self.orders[0])
-        for p in self.orders:
-            if len(set(p)) != len(p) or set(p) != base or len(p) != len(self.orders[0]):
-                raise ValueError("orders must all be permutations of one vertex set")
-
-    def word(self) -> Word:
-        return concat_orders(self.orders)
-
-
-@dataclass(frozen=True)
-class RepNumberCertificate:
+class RepNumberCertificate(NamedTuple):
     """Minimal-k outcome with the per-k certificates that support it."""
 
     query: str
@@ -194,6 +171,8 @@ def _greedy_clique_size(g: Graph) -> int:
 
 
 def _orientation_certificate(g: Graph) -> Certificate:
+    from .orientations import _semi_transitive_search, is_semi_transitive
+
     t0 = time.perf_counter()
     query = f"semi-transitive-orientation n={g.n} m={g.edge_count}"
     d, nodes = _semi_transitive_search(g)
@@ -277,6 +256,8 @@ def find_transitive_orientation(g: Graph) -> Certificate:
     b->y, failing when a forced pair is non-adjacent or already directed the
     other way.
     """
+    from .orientations import Orientation, is_transitive
+
     t0 = time.perf_counter()
     n = g.n
     adj = g.adj
@@ -351,6 +332,8 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     directions of every incomparable pair.  The returned realizer is
     re-verified by intersection equality.
     """
+    from .orientations import is_transitive
+
     if not is_transitive(d):
         raise ValueError("orientation is not transitive")
     n = d.base.n
@@ -471,6 +454,8 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     exhaustion.  A realizer smaller than k is padded by repeating its own
     orders from the start, which leaves the intersection unchanged.
     """
+    from .orientations import Orientation
+
     _check_positive("k", k)
     t0 = time.perf_counter()
     query = f"permutational-representation n={g.n} m={g.edge_count} k={k}"

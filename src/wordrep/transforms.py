@@ -10,12 +10,12 @@ fallback invocations are counted in FALLBACK_COUNTS.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .errors import VerificationError
 from .graphs import Graph, build_family, validate_label
 from .words import (
+    LinearOrderFamily,
     Word,
     cyclic_shift,
     derive_graph,
@@ -23,9 +23,6 @@ from .words import (
     represents,
     uniformity,
 )
-
-if TYPE_CHECKING:
-    from .search import LinearOrderFamily
 
 FALLBACK_COUNTS: Counter[str] = Counter()
 
@@ -39,8 +36,12 @@ def reset_fallback_counts() -> None:
     FALLBACK_COUNTS.clear()
 
 
-@dataclass(frozen=True)
-class CombineMode:
+class _CombineMode(NamedTuple):
+    kind: str
+    merged_label: str | None
+
+
+class CombineMode(_CombineMode):
     """How two disjoint represented graphs are joined.
 
     kind is "connect-edge" (add an edge between x and y) or "glue-vertex"
@@ -48,41 +49,45 @@ class CombineMode:
     vertex and is required exactly in the glue case.
     """
 
-    kind: str
-    merged_label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("connect-edge", "glue-vertex"):
-            raise ValueError(f"unknown combine mode {self.kind!r}")
-        if self.kind == "glue-vertex" and self.merged_label is None:
+    def __new__(cls, kind: str, merged_label: str | None = None) -> CombineMode:
+        if kind not in ("connect-edge", "glue-vertex"):
+            raise ValueError(f"unknown combine mode {kind!r}")
+        if kind == "glue-vertex" and merged_label is None:
             raise ValueError("glue-vertex mode needs a merged_label")
-        if self.kind == "connect-edge" and self.merged_label is not None:
+        if kind == "connect-edge" and merged_label is not None:
             raise ValueError("connect-edge mode takes no merged_label")
+        return super().__new__(cls, kind, merged_label)
 
 
-@dataclass(frozen=True)
-class RepNumberInput:
-    """Representation numbers and vertex counts of two graphs to be joined."""
-
+class _RepNumberInput(NamedTuple):
     k1: int
     k2: int
     n1: int
     n2: int
-    mode: CombineMode | None = None
+    mode: CombineMode | None
 
-    def __post_init__(self) -> None:
-        for name, value in (("k1", self.k1), ("k2", self.k2),
-                            ("n1", self.n1), ("n2", self.n2)):
+
+class RepNumberInput(_RepNumberInput):
+    """Representation numbers and vertex counts of two graphs to be joined."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, k1: int, k2: int, n1: int, n2: int, mode: CombineMode | None = None
+    ) -> RepNumberInput:
+        for name, value in (("k1", k1), ("k2", k2), ("n1", n1), ("n2", n2)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.n1 == 1 and self.k1 != 1:
+        if n1 == 1 and k1 != 1:
             raise ValueError("a single-vertex graph has representation number 1")
-        if self.n2 == 1 and self.k2 != 1:
+        if n2 == 1 and k2 != 1:
             raise ValueError("a single-vertex graph has representation number 1")
+        return super().__new__(cls, k1, k2, n1, n2, mode)
 
 
-@dataclass(frozen=True)
-class CombinedRepNumbers:
+class CombinedRepNumbers(NamedTuple):
     """Representation numbers of the edge-connected and glued results."""
 
     connect_edge: int

@@ -7,9 +7,8 @@ stored as a tuple of label tokens with a derived occurrence map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, VerificationError
 from .graphs import Graph, validate_label
@@ -69,8 +68,7 @@ class Word:
         return f"Word({' '.join(self.letters)!r})"
 
 
-@dataclass(frozen=True)
-class UniformityProfile:
+class UniformityProfile(NamedTuple):
     """Occurrence counts per letter (alphabet order) and the common count, if any."""
 
     counts: tuple[tuple[str, int], ...]
@@ -195,6 +193,28 @@ def concat_orders(orders: Iterable[Sequence[str]]) -> Word:
     for p in orders:
         letters.extend(p)
     return Word(letters)
+
+
+class _LinearOrderFamily(NamedTuple):
+    orders: tuple[tuple[str, ...], ...]
+
+
+class LinearOrderFamily(_LinearOrderFamily):
+    """A non-empty list of vertex permutations over one common vertex set."""
+
+    __slots__ = ()
+
+    def __new__(cls, orders: tuple[tuple[str, ...], ...]) -> LinearOrderFamily:
+        if not orders:
+            raise ValueError("a linear order family must contain at least one order")
+        base = set(orders[0])
+        for p in orders:
+            if len(set(p)) != len(p) or set(p) != base or len(p) != len(orders[0]):
+                raise ValueError("orders must all be permutations of one vertex set")
+        return super().__new__(cls, orders)
+
+    def word(self) -> Word:
+        return concat_orders(self.orders)
 
 
 def permutation_blocks(w: Word) -> tuple[tuple[str, ...], ...]:

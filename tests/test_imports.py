@@ -1,5 +1,6 @@
-"""What a process loads: `import wordrep` loads no submodule, and each CLI
-subcommand imports only the submodules it runs."""
+"""What a process loads: `import wordrep` loads no submodule, each CLI
+subcommand imports only the submodules it runs, and none of them loads
+`dataclasses` or `inspect`."""
 
 import os
 import subprocess
@@ -36,11 +37,15 @@ PUBLIC_NAMES = [
     "uniformity",
 ]
 
-# The sorted wordrep.* modules left in sys.modules after the statement runs.
+# The sorted wordrep.* modules left in sys.modules after the statement runs,
+# and `dataclasses` and `inspect` if they are loaded: no statement below
+# should load those, as together they take longer to import than any
+# wordrep module, and every CLI process would pay for them.
 LOADED = """
 import sys
 {statement}
-print(*sorted(m for m in sys.modules if m == "wordrep" or m.startswith("wordrep.")))
+print(*sorted(m for m in sys.modules if m == "wordrep" or m.startswith("wordrep.")
+              or m in ("dataclasses", "inspect")))
 """
 
 RUN_MAIN = """
@@ -52,25 +57,31 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 CLI_BASE = ["cli", "errors", "graphs"]
 
-# subcommand: (argv, the wordrep submodules it loads beyond CLI_BASE)
+PR3 = "vertices: 1 2 3 1' 2' 3'\n1 2\n1 3\n1 1'\n2 3\n2 2'\n3 3'\n1' 2'\n1' 3'\n2' 3'\n"
+
+# case: (argv, the wordrep submodules it loads beyond CLI_BASE); one case per
+# subcommand, then repnum once k = 2 has exhausted (R(Pr3) = 3), the only case
+# that runs the orientation search, and `--perm` parsed without `search`
 SUBCOMMAND_LOADS = {
     "build": (["build", "prism", "3"], []),
     "check": (["check", "--word", "1212", "--graph", "k2.graph"], ["words"]),
     "orient": (["orient", "--graph", "k2.graph"], ["orientations"]),
     "chord": (["chord", "--word", "1212", "--out", "-"], ["words", "chords"]),
-    "find": (
-        ["find", "--graph", "k2.graph", "--k", "1"],
-        ["words", "orientations", "search"],
-    ),
-    "repnum": (
-        ["repnum", "--graph", "k2.graph"],
-        ["words", "orientations", "search"],
-    ),
+    "find": (["find", "--graph", "k2.graph", "--k", "1"], ["words", "search"]),
+    "repnum": (["repnum", "--graph", "k2.graph"], ["words", "search"]),
     "transform": (
         ["transform", "add-leaf", "--word", "1212", "--x", "1", "--y", "3"],
         ["words", "transforms"],
     ),
     "tables": (["tables", "ladder", "--max", "2"], ["words", "transforms"]),
+    "repnum-pr3": (
+        ["repnum", "--graph", "pr3.graph"],
+        ["words", "orientations", "search"],
+    ),
+    "transform-cone": (
+        ["transform", "cone", "--perm", "1 2", "--perm", "2 1", "--apex", "a"],
+        ["words", "transforms"],
+    ),
 }
 
 
@@ -111,6 +122,7 @@ def test_submodule_is_an_attribute_after_a_bare_import():
 def test_subcommand_loads(tmp_path, sub):
     argv, extra = SUBCOMMAND_LOADS[sub]
     (tmp_path / "k2.graph").write_text("vertices: 1 2\n1 2\n")
+    (tmp_path / "pr3.graph").write_text(PR3)
     got = loaded_modules(RUN_MAIN, *argv, cwd=tmp_path)
     assert got == qualified(*CLI_BASE, *extra)
 
