@@ -7,6 +7,7 @@ v1 -> vk such that some pair of path vertices is non-adjacent.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -177,6 +178,36 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
     return True
 
 
+def _shortcut_path(
+    adj: Sequence[int], out: Sequence[int], u: int, v: int, inside: int
+) -> list[int] | None:
+    """The first simple u->v path through `inside` that could be a shortcut.
+
+    Successors are tried in index order; the path found has at least four
+    vertices and carries a non-adjacent pair.
+    """
+    path = [u]
+    on_path = 1 << u
+
+    def walk(x: int) -> list[int] | None:
+        nonlocal on_path
+        for y in iter_bits(out[x] & (inside | 1 << v) & ~on_path):
+            if y == v:
+                if len(path) >= 3 and not _is_clique(adj, on_path | 1 << v):
+                    return path + [v]
+            else:
+                path.append(y)
+                on_path |= 1 << y
+                hit = walk(y)
+                path.pop()
+                on_path &= ~(1 << y)
+                if hit is not None:
+                    return hit
+        return None
+
+    return walk(u)
+
+
 def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     """Search the orientation for a shortcut.
 
@@ -220,13 +251,6 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
             got = clique_cache[mask] = _is_clique(adj, mask)
         return got
 
-    def first_missing(verts: Sequence[int]) -> tuple[int, int] | None:
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                if not adj[verts[a]] >> verts[b] & 1:
-                    return verts[a], verts[b]
-        return None
-
     for u in range(n):
         for v in iter_bits(out[u]):
             inter = desc[u] & anc[v]
@@ -234,33 +258,14 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
                 continue
             if clique(inter | 1 << u | 1 << v):
                 continue
-            path = [u]
-            on_path = 1 << u
-
-            def walk(x: int) -> ShortcutWitness | None:
-                nonlocal on_path
-                for y in iter_bits(out[x] & (inter | 1 << v) & ~on_path):
-                    if y == v:
-                        if len(path) >= 3:
-                            pair = first_missing(path + [v])
-                            if pair is not None:
-                                return ShortcutWitness(
-                                    tuple(labs[t] for t in path) + (labs[v],),
-                                    (labs[pair[0]], labs[pair[1]]),
-                                )
-                    else:
-                        path.append(y)
-                        on_path |= 1 << y
-                        hit = walk(y)
-                        path.pop()
-                        on_path &= ~(1 << y)
-                        if hit is not None:
-                            return hit
-                return None
-
-            found = walk(u)
-            if found is not None:
-                return found
+            path = _shortcut_path(adj, out, u, v, inter)
+            if path is not None:
+                a, b = next(
+                    (x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1
+                )
+                return ShortcutWitness(
+                    tuple(labs[t] for t in path), (labs[a], labs[b])
+                )
     return None
 
 
@@ -315,37 +320,13 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     def completes_shortcut(w: int) -> bool:
         # arcs into w were just added; any new shortcut must end at w
         anc_w = reach(inn, w, placed)
-        scope = placed | 1 << w
         for u in iter_bits(adj[w] & placed):
             cand = reach(out, u, placed) & anc_w & ~(1 << u)
             if cand.bit_count() < 2:
                 continue
             if _is_clique(adj, cand | 1 << u | 1 << w):
                 continue
-            path = [u]
-            on_path = 1 << u
-
-            def walk(x: int) -> bool:
-                nonlocal on_path
-                for y in iter_bits(out[x] & (cand | 1 << w) & scope & ~on_path):
-                    if y == w:
-                        if len(path) >= 3:
-                            verts = path + [w]
-                            for a in range(len(verts)):
-                                for b in range(a + 1, len(verts)):
-                                    if not adj[verts[a]] >> verts[b] & 1:
-                                        return True
-                    else:
-                        path.append(y)
-                        on_path |= 1 << y
-                        hit = walk(y)
-                        path.pop()
-                        on_path &= ~(1 << y)
-                        if hit:
-                            return True
-                return False
-
-            if walk(u):
+            if _shortcut_path(adj, out, u, w, cand) is not None:
                 return True
         return False
 

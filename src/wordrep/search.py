@@ -325,12 +325,16 @@ def find_transitive_orientation(g: Graph) -> Certificate:
 def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     """Minimal number of linear extensions intersecting exactly to d.
 
-    The input must be transitive.  All linear extensions are enumerated in
-    lexicographic vertex-index order; per extension a bitmask records which
-    incomparable pairs it orders low-to-high, duplicates are dropped, and
-    family size t = 1, 2, ... is tried until some t masks cover both
-    directions of every incomparable pair.  The returned realizer is
-    re-verified by intersection equality.
+    The input must be transitive.  A critical pair (a, b) is an incomparable
+    pair with D(a) a subset of D(b) and U(b) a subset of U(a), where D and U
+    are the strict down- and up-sets.  Linear extensions realize d exactly
+    when every critical pair has b below a in one of them (Trotter,
+    Combinatorics and Partially Ordered Sets, 1992), and a set of critical
+    pairs fits in one extension exactly when d plus the arcs b -> a stays
+    acyclic.  The critical pairs are split by backtracking into t = 1, 2, ...
+    such classes, a new class opening only after every open one was tried.
+    Each member is the topological order of its class that takes the least
+    ready index first; the realizer is re-verified by intersection equality.
     """
     from .orientations import is_transitive
 
@@ -340,109 +344,58 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     labs = d.base.labels
     if n == 0:
         return 1, LinearOrderFamily(((),))
-    adj = d.base.adj
     out = d.out
     inn = [0] * n
     for i in range(n):
         for j in iter_bits(out[i]):
             inn[j] |= 1 << i
-
-    exts: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def gen(placed: int) -> None:
-        if len(acc) == n:
-            exts.append(tuple(acc))
-            return
-        for v in range(n):
-            if placed >> v & 1 or inn[v] & ~placed:
-                continue
-            acc.append(v)
-            gen(placed | 1 << v)
-            acc.pop()
-
-    gen(0)
-
-    incomp = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1
+    critical = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and not (out[a] | inn[a]) >> b & 1
+        and not inn[a] & ~inn[b]
+        and not out[b] & ~out[a]
     ]
-    if not incomp:
-        return 1, LinearOrderFamily((tuple(labs[v] for v in exts[0]),))
 
-    pairs = len(incomp)
-    full = (1 << pairs) - 1
-    reps: dict[int, tuple[int, ...]] = {}
-    masks: list[int] = []
-    for e in exts:
-        pos = [0] * n
-        for p, v in enumerate(e):
-            pos[v] = p
-        mask = 0
-        for t, (i, j) in enumerate(incomp):
-            if pos[i] < pos[j]:
-                mask |= 1 << t
-        if mask not in reps:
-            reps[mask] = e
-            masks.append(mask)
-    mask_set = set(masks)
+    def split(p: int, classes: list[list[int]], t: int) -> list[list[int]] | None:
+        # classes[c][x]: the vertices below x once class c's arcs are added
+        if p == len(critical):
+            return classes
+        a, b = critical[p]
+        for c, below in enumerate(classes + [inn] if len(classes) < t else classes):
+            if below[b] >> a & 1:
+                continue  # a is already below b: b -> a would close a cycle
+            low = below[b] | 1 << b
+            grown = [
+                m | low if x == a or m >> a & 1 else m for x, m in enumerate(below)
+            ]
+            found = split(p + 1, classes[:c] + [grown] + classes[c + 1 :], t)
+            if found is not None:
+                return found
+        return None
 
-    choice: list[int] = []
-
-    def cover(set_or: int, clr_or: int, slots: int) -> bool:
-        if set_or == full and clr_or == full:
-            return True
-        if slots == 0:
-            return False
-        need_set = full & ~set_or
-        need_clr = full & ~clr_or
-        if slots == 1:
-            if need_set & need_clr:
-                return False
-            if need_set | need_clr == full:
-                # every bit constrained one way: the final mask is forced
-                if need_set in mask_set and need_set not in choice:
-                    choice.append(need_set)
-                    return True
-                return False
-            for m in masks:
-                if m & need_set == need_set and not m & need_clr and m not in choice:
-                    choice.append(m)
-                    return True
-            return False
-        missing = need_set | need_clr
-        b = missing & -missing
-        want_set = bool(need_set & b)
-        for m in masks:
-            if bool(m & b) != want_set or m in choice:
-                continue
-            choice.append(m)
-            if cover(set_or | m, clr_or | (full & ~m), slots - 1):
-                return True
-            choice.pop()
-        return False
-
-    for t in range(2, len(masks) + 1):
-        choice.clear()
-        if cover(0, 0, t):
-            orders = [reps[m] for m in choice]
-            positions = []
-            for e in orders:
-                pos = [0] * n
-                for p, v in enumerate(e):
-                    pos[v] = p
-                positions.append(pos)
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    before_all = all(pos[i] < pos[j] for pos in positions)
-                    if before_all != bool(out[i] >> j & 1):
-                        raise VerificationError("realizer intersection mismatch")
-            fam = LinearOrderFamily(
-                tuple(tuple(labs[v] for v in e) for e in orders)
-            )
-            return t, fam
-    raise VerificationError("no realizer found among all linear extensions")
+    t = 1
+    while (classes := split(0, [], t)) is None:
+        t += 1
+    orders = []
+    for below in classes or [inn]:
+        order: list[int] = []
+        placed = 0
+        while len(order) < n:
+            v = next(v for v in range(n) if not (placed >> v & 1 or below[v] & ~placed))
+            order.append(v)
+            placed |= 1 << v
+        orders.append(order)
+    positions = [[e.index(v) for v in range(n)] for e in orders]
+    for i in range(n):
+        for j in range(n):
+            before_all = i != j and all(pos[i] < pos[j] for pos in positions)
+            if before_all != bool(out[i] >> j & 1):
+                raise VerificationError("realizer intersection mismatch")
+    fam = LinearOrderFamily(tuple(tuple(labs[v] for v in e) for e in orders))
+    return len(orders), fam
 
 
 def find_permutational_representation(g: Graph, k: int) -> Certificate:

@@ -7,7 +7,7 @@ library under test never shares code paths with its own checker.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from wordrep import Graph, Orientation
 
@@ -82,6 +82,22 @@ def naive_has_shortcut(d: Orientation) -> bool:
             if not d.base.has_edge(a, b):
                 return True
     return False
+
+
+def naive_poset_dimension(d: Orientation) -> int:
+    """Least t such that t arc-respecting permutations intersect to the arcs."""
+    labels = d.base.labels
+    arcs = set(d.arcs())
+    before = []
+    for p in permutations(labels):
+        pairs = set(combinations(p, 2))
+        if arcs <= pairs:
+            before.append(pairs)
+    for t in range(1, len(before) + 1):
+        for family in combinations(before, t):
+            if set.intersection(*family) == arcs:
+                return t
+    raise AssertionError("the arc relation is not a partial order")
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:

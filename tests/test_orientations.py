@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,27 @@ class TestFindShortcut:
         assert w.path == ("1", "2", "3", "4", "5")
         assert w.missing_pair == ("1", "4")
         assert not is_semi_transitive(shortcut_digraph)
+
+    # seed -> (path, missing_pair) on random_graph(Random(seed), n, 0.6)
+    # directed along a shuffled order; seeds 19, 26 and 30 return a path
+    # longer than the shortest shortcut path for the same arc
+    @pytest.mark.parametrize(
+        "seed, n, want",
+        [
+            (0, 6, (("6", "1", "4", "3"), ("6", "4"))),
+            (1, 7, None),
+            (11, 8, (("1", "3", "6", "7", "2"), ("3", "7"))),
+            (19, 7, (("2", "3", "4", "1", "6"), ("2", "1"))),
+            (26, 8, (("2", "3", "1", "6", "8", "5"), ("2", "1"))),
+            (30, 6, (("1", "2", "3", "4", "6"), ("2", "6"))),
+        ],
+    )
+    def test_golden_witness(self, seed, n, want):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, 0.6)
+        order = list(g.labels)
+        rng.shuffle(order)
+        assert find_shortcut(orient_by_order(g, order)) == want
 
     def test_transitive_has_none(self):
         g = build_family("complete", 5)

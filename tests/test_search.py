@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -29,6 +31,7 @@ from oracles import (
     naive_edge_set,
     naive_isomorphic,
     naive_k_uniform_words,
+    naive_poset_dimension,
     naive_represents,
     random_graph,
 )
@@ -317,12 +320,44 @@ class TestPosetDimension:
         assert dim == 2
 
     def test_crown_dimensions(self):
-        for k, expected in [(2, 2), (3, 3)]:
-            g = build_family("crown", k)
+        # crown(k) is the standard example S_k, of dimension k
+        posets = {
+            k: find_transitive_orientation(build_family("crown", k)).witness
+            for k in range(2, 9)
+        }
+        start = time.perf_counter()
+        dims = {k: poset_dimension(d) for k, d in posets.items()}
+        assert time.perf_counter() - start < 1.0
+        for k, (dim, fam) in dims.items():
+            assert dim == k
+            assert len(fam.orders) == k
+
+    @staticmethod
+    def comparability_posets(n, masks):
+        labels = [str(i) for i in range(1, n + 1)]
+        pairs = list(combinations(labels, 2))
+        for mask in masks:
+            g = Graph(labels, [p for t, p in enumerate(pairs) if mask >> t & 1])
             d = find_transitive_orientation(g).witness
-            dim, fam = poset_dimension(d)
-            assert dim == expected
-            assert len(fam.orders) == expected
+            if d is not None:
+                yield d
+
+    def test_matches_oracle_up_to_five_vertices(self):
+        count = 0
+        for n in range(6):
+            masks = range(1 << n * (n - 1) // 2)
+            for d in self.comparability_posets(n, masks):
+                assert poset_dimension(d)[0] == naive_poset_dimension(d), d
+                count += 1
+        assert count == 1088
+
+    def test_matches_oracle_on_six_vertex_sample(self):
+        rng = random.Random(606)
+        masks = [rng.randrange(1 << 15) for _ in range(400)]
+        posets = list(self.comparability_posets(6, masks))[:200]
+        assert len(posets) == 200
+        for d in posets:
+            assert poset_dimension(d)[0] == naive_poset_dimension(d), d
 
     def test_realizer_is_sound(self):
         g = build_family("crown", 3)
@@ -351,10 +386,13 @@ class TestPermutationalRepresentation:
         assert cert.status == WITNESS_FOUND
         assert isinstance(cert.witness, LinearOrderFamily)
 
-    def test_crown3_k3_found_k2_exhausted(self):
-        g = build_family("crown", 3)
-        assert find_permutational_representation(g, 3).status == WITNESS_FOUND
-        assert find_permutational_representation(g, 2).status == EXHAUSTED
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_crown_found_at_k_exhausted_below(self, k):
+        g = build_family("crown", k)
+        cert = find_permutational_representation(g, k)
+        assert cert.status == WITNESS_FOUND
+        assert naive_represents(cert.witness.word().letters, g)
+        assert find_permutational_representation(g, k - 1).status == EXHAUSTED
 
     def test_cycle5_never(self):
         # no transitive orientation exists at all
