@@ -34,8 +34,8 @@ _EXPORTS = {
     "transforms": (
         "CombinedRepNumbers", "CombineMode", "RepNumberInput", "add_leaf", "add_path",
         "combine", "combined_rep_number", "cone_word", "crown_perm_word", "cycle_word",
-        "equalize_uniformity", "fallback_counts", "ladder_word", "reset_fallback_counts",
-        "substitute_module", "tree_word",
+        "equalize_uniformity", "fallback_counts", "ladder_word", "substitute_module",
+        "tree_word",
     ),
     "words": (
         "LinearOrderFamily", "UniformityProfile", "Word", "alternates", "concat_orders",

@@ -193,19 +193,6 @@ def cmd_orient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_word_report(args: argparse.Namespace, w: Word, extra=()) -> None:
-    from .words import format_word, uniformity
-
-    rep = _Report(args)
-    prof = uniformity(w)
-    rep.add("word", format_word(w))
-    rep.add("k", str(prof.k) if prof.k is not None else "non-uniform")
-    rep.add("length", str(len(w)))
-    for key, value in extra:
-        rep.add(key, value)
-    rep.emit()
-
-
 def _parse_perm_args(perm_texts: list[str]) -> LinearOrderFamily:
     from .words import LinearOrderFamily, parse_word
 
@@ -226,15 +213,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
         rep.add("glue-vertex", str(nums.glue_vertex))
         rep.emit()
         return 0
-    before = sum(transforms.fallback_counts().values())
     w = _TRANSFORMS[args.op][1](args, transforms)
-    fallbacks = sum(transforms.fallback_counts().values()) - before
     prof = uniformity(w)
     rep.add("word", format_word(w))
     rep.add("k", str(prof.k) if prof.k is not None else "non-uniform")
     rep.add("length", str(len(w)))
     rep.add("verified", "true")
-    rep.add("fallbacks", str(fallbacks))
     rep.emit()
     if args.out:
         _write_out(args.out, format_word(w) + "\n")

@@ -1,15 +1,12 @@
 """Constructive word builders for graph operations and families.
 
-Every builder re-derives the graph of its output and compares it against an
-independently constructed target; a mismatch is a hard failure.  The one
-attempt-based construction, combine, falls back to the exhaustive search,
-whose success is guaranteed by the existence results it implements;
-fallback invocations are counted in FALLBACK_COUNTS.
+Every builder is a direct construction, with no search: it re-derives the
+graph of its output once and compares it against an independently constructed
+target; a mismatch is a hard failure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -17,23 +14,19 @@ from .graphs import Graph, build_family, validate_label
 from .words import (
     LinearOrderFamily,
     Word,
-    cyclic_shift,
     derive_graph,
     extend_uniform,
     represents,
     uniformity,
 )
 
-FALLBACK_COUNTS: Counter[str] = Counter()
-
 
 def fallback_counts() -> dict[str, int]:
-    """Snapshot of how many times each operation resorted to full search."""
-    return dict(FALLBACK_COUNTS)
+    """Always empty: no transform falls back to search.
 
-
-def reset_fallback_counts() -> None:
-    FALLBACK_COUNTS.clear()
+    Kept only because the benchmark (perfbench/wl_construct.py) still reads it.
+    """
+    return {}
 
 
 class _CombineMode(NamedTuple):
@@ -174,9 +167,9 @@ def _fresh_label(taken: set[str], stem: str) -> str:
     return label
 
 
-def _blocks_without(w: Word, sep: str) -> list[list[str]]:
+def _blocks_without(letters, sep: str) -> list[list[str]]:
     blocks: list[list[str]] = [[]]
-    for t in w.letters:
+    for t in letters:
         if t == sep:
             blocks.append([])
         else:
@@ -184,22 +177,16 @@ def _blocks_without(w: Word, sep: str) -> list[list[str]]:
     return blocks
 
 
-def _glue_words(w1: Word, w2: Word, x: str, y: str, z: str, k: int) -> Word:
-    # rotate w1 to end on its last x and w2 to start on its first y, then
-    # interleave the x-free blocks A1..Ak and y-free blocks B1..Bk as
-    # A1 z (A2 B1) z (A3 B2) z ... (Ak B(k-1)) z Bk, with z standing in for
-    # both x and y
-    w1r = cyclic_shift(w1, w1.occurrences(x)[-1] + 1)
-    w2r = cyclic_shift(w2, w2.occurrences(y)[0])
-    a = _blocks_without(w1r, x)[:-1]  # trailing empty block after the last x
-    b = _blocks_without(w2r, y)[1:]  # leading empty block before the first y
-    letters: list[str] = list(a[0])
-    for i in range(1, k):
-        letters.append(z)
-        letters += a[i]
-        letters += b[i - 1]
-    letters.append(z)
-    letters += b[k - 1]
+def _glue_words(l1, l2, x: str, y: str, z: str) -> Word:
+    # the interleaving A1 z (A2 B1) z ... z (Ak B(k-1)) z Bk of combine
+    i = len(l1) - l1[::-1].index(x)
+    j = l2.index(y)
+    a = _blocks_without(l1[i:] + l1[:i], x)[:-1]  # empty block after the last x
+    b = _blocks_without(l2[j:] + l2[:j], y)[1:]  # empty block before the first y
+    letters = list(a[0])
+    for ai, bi in zip(a[1:], b):
+        letters += [z, *ai, *bi]
+    letters += [z, *b[-1]]
     return Word(letters)
 
 
@@ -210,14 +197,32 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
     lifts mismatched inputs) over disjoint alphabets, with x in the first and
     y in the second.  connect-edge keeps all vertices and adds the edge
     (x, y); glue-vertex merges x and y into the fresh vertex mode.merged_label.
-    The deterministic interleaving is post-verified; on failure the target is
-    handed to the exhaustive k-uniform search, whose success is guaranteed.
+
+    This is the construction of Kitaev and Pyatkin ("On representable
+    graphs", 2008), with no search.  To glue, rotate w1 to end on its last x
+    and w2 to start on its first y, which keeps both graphs because the words
+    are uniform: A1 x A2 x ... Ak x and y B1 y B2 ... y Bk, where no A holds
+    x and no B holds y.  The result is
+
+        A1 z A2 B1 z A3 B2 z ... z Ak B(k-1) z Bk.
+
+    Restricted to the first side plus z it is the rotated w1 with x renamed
+    z, and restricted to the second side plus z it is the rotated w2 with y
+    renamed z, so both graphs survive with z in the place of x and of y.  A
+    letter a of the first side and a letter b of the second, with c_i copies
+    of a in A_i and d_i copies of b in B_i, read
+
+        a^(c1+c2) b^d1 a^c3 b^d2 ... a^ck b^(d(k-1)+dk),
+
+    at most k - 1 runs of a, so two of a's k copies meet and a, b do not
+    alternate.  connect-edge first hangs a fresh leaf t off x (add_leaf's
+    rule, which keeps the word k-uniform) and glues t to y, so y's new
+    neighbour is x alone.  The result is checked against the target graph.
     """
     k1 = _require_uniform(w1, 2, "first word")
     k2 = _require_uniform(w2, 2, "second word")
     if k1 != k2:
         raise ValueError(f"words must share one uniformity, got k={k1} and k={k2}")
-    k = k1
     overlap = set(w1.alphabet) & set(w2.alphabet)
     if overlap:
         raise ValueError(f"alphabets overlap on {sorted(overlap)}")
@@ -232,9 +237,8 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
     if mode.kind == "connect-edge":
         labels = list(g1.labels) + list(g2.labels)
         edges = list(g1.edges()) + list(g2.edges()) + [(x, y)]
-        target = Graph(labels, edges)
         tmp = _fresh_label(set(w1.alphabet) | set(w2.alphabet), "t")
-        attempt = _glue_words(add_leaf(w1, x, tmp), w2, tmp, y, y, k)
+        result = _glue_words(_leaf_letters(w1.letters, x, tmp), w2.letters, tmp, y, y)
     else:
         z = mode.merged_label
         assert z is not None
@@ -248,21 +252,8 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
         edges += [e for e in g2.edges() if y not in e]
         edges += [(u, z) for u in g1.neighbors(x)]
         edges += [(z, v) for v in g2.neighbors(y)]
-        target = Graph(labels, edges)
-        attempt = _glue_words(w1, w2, x, y, z, k)
-
-    if represents(attempt, target):
-        return attempt
-    FALLBACK_COUNTS["combine"] += 1
-    from .search import WITNESS_FOUND, find_k_uniform_representant
-
-    cert = find_k_uniform_representant(target, k)
-    if cert.status != WITNESS_FOUND:
-        raise VerificationError(
-            "combine fallback exhausted a space that must contain a witness"
-        )
-    assert isinstance(cert.witness, Word)
-    return cert.witness
+        result = _glue_words(w1.letters, w2.letters, x, y, z)
+    return _verified(result, Graph(labels, edges), "combine")
 
 
 def combined_rep_number(inp: RepNumberInput) -> CombinedRepNumbers:
@@ -419,27 +410,18 @@ def tree_word(t: Graph) -> Word:
 def cycle_word(n: int) -> Word:
     """A 2-uniform representant of the n-cycle.
 
-    A path word gains the closing edge by swapping one adjacent letter pair.
-    A swap of neighbouring positions only changes how the two letters swapped
-    interleave, so it must swap occurrences of the cycle's endpoints 1 and n.
-    Rooting the tree induction at vertex 2 leaves those occurrences adjacent
-    at the front of the path word; the first candidate swap whose result
-    verifies is returned.
+    The path 1 - 2 - ... - n gains its closing edge by one adjacent swap.
+    Rooted at 2, the tree induction gives 1 2 1 2 and then wraps each new
+    vertex around the first copy of the previous one, which sits at index
+    1, so the path word reads 1 n (n-1) n ... and 1, n, which are not
+    adjacent in the path, occur as 1 n n 1.  Swapping letters 0 and 1 turns
+    that into n 1 n 1 and changes how no other pair interleaves, so the
+    result represents the cycle.  It is checked against the target graph.
     """
     _check_size("cycle length", n, 3)
-    target = build_family("cycle", n)
-    labels = [str(i) for i in range(1, n + 1)]
-    path = Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
-    base = _tree_word_rooted(path, labels[1])
-    for p in range(len(base) - 1):
-        if base[p] == base[p + 1]:
-            continue
-        cand = list(base)
-        cand[p], cand[p + 1] = cand[p + 1], cand[p]
-        w = Word(cand)
-        if represents(w, target):
-            return w
-    raise VerificationError("no adjacent swap of the path word closes the cycle")
+    letters = _tree_word_rooted(build_family("path", n), "2")
+    letters[0], letters[1] = letters[1], letters[0]
+    return _verified(Word(letters), build_family("cycle", n), "cycle_word")
 
 
 def cone_word(perms: LinearOrderFamily, apex: str) -> Word:

@@ -52,7 +52,6 @@ from wordrep import (
     poset_dimension,
     representation_number,
     represents,
-    reset_fallback_counts,
     reverse,
     substitute_module,
     tree_word,
@@ -192,7 +191,6 @@ def test_criterion_07_shortcut_fixture(shortcut_digraph):
 def test_criterion_08_transform_post_verification():
     with criterion(8, "25 random applications per transform", budget_s=600.0):
         rng = random.Random(818)
-        reset_fallback_counts()
 
         def rand_rep(max_n, min_n=1):
             while True:

@@ -266,7 +266,7 @@ class TestTransform:
         )
         assert code == 0
         rep = report_dict(out)
-        assert rep["fallbacks"] == "0"
+        assert "fallbacks" not in rep
         path = [("1", "p1"), ("p1", "p2"), ("p2", "8")]
         target = Graph(list(petersen.labels) + ["p1", "p2"], list(petersen.edges()) + path)
         assert naive_represents(rep["word"].split(), target)
@@ -590,7 +590,6 @@ word: 1 2 1 4 3 4 2 3
 k: 2
 length: 8
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -606,7 +605,6 @@ word: p1 1 p2 p1 2 3 1 p2 2 p1 p2 3 1 2 3
 k: 3
 length: 15
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -622,7 +620,6 @@ word: a b a b a b
 k: 3
 length: 6
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -639,7 +636,6 @@ word: x1 z x1 y1 z y1
 k: 2
 length: 6
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -655,7 +651,6 @@ word: a b 2 b a 2
 k: 2
 length: 6
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -668,7 +663,6 @@ word: 1 2' 1' 3 2 3' 3 2' 3' 1 2 1'
 k: 2
 length: 12
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -681,7 +675,6 @@ word: 1 2 3' 3 2' 1' 1 3 2' 2 3' 1' 2 3 1' 1 3' 2'
 k: 3
 length: 18
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -694,7 +687,6 @@ word: 3 4 2 4 3 1 2 1
 k: 2
 length: 8
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -707,7 +699,6 @@ word: 5 1 4 5 3 4 2 3 1 2
 k: 2
 length: 10
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",
@@ -720,7 +711,6 @@ word: 1 2 a 2 1 a
 k: 2
 length: 6
 verified: true
-fallbacks: 0
 version: wordrep 0.1.0
 """,
         "",

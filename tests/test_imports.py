@@ -2,6 +2,7 @@
 subcommand imports only the submodules it runs, and none of them loads
 `dataclasses` or `inspect`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ PUBLIC_NAMES = [
     "is_shortcut_witness", "is_transitive", "ladder_word", "orient_by_order",
     "parse_graph", "parse_orientation", "parse_word", "permutation_blocks",
     "poset_dimension", "represents", "representation_number",
-    "reset_fallback_counts", "reverse", "substitute_module", "tree_word",
+    "reverse", "substitute_module", "tree_word",
     "uniformity",
 ]
 
@@ -128,15 +129,47 @@ def test_subcommand_loads(tmp_path, sub):
 
 
 def test_add_path_never_loads_search():
-    # add_path is a direct construction; a search fallback would load search
+    # add_path, combine and cycle_word are direct constructions with no search
     statement = (
         "from itertools import combinations\n"
-        "from wordrep import add_path, parse_word\n"
+        "from wordrep import CombineMode, add_path, combine, cycle_word, parse_word\n"
         f"w = parse_word({PETERSEN_WORD!r})\n"
         "for x, y in combinations(w.alphabet, 2):\n"
-        "    add_path(w, x, y, 3)"
+        "    add_path(w, x, y, 3)\n"
+        "w1, w2 = parse_word('a b a c b c'), parse_word('d e d e')\n"
+        "for mode in (CombineMode('connect-edge'), CombineMode('glue-vertex', 'z')):\n"
+        "    for x in w1.alphabet:\n"
+        "        combine(w1, w2, x, 'e', mode)\n"
+        "for n in range(3, 12):\n"
+        "    cycle_word(n)"
     )
     assert loaded_modules(statement) == qualified("errors", "graphs", "transforms", "words")
+
+
+def _empty_accumulator(value):
+    if isinstance(value, ast.List):
+        return not value.elts
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("Counter", "defaultdict"):
+            return True
+        return name in ("set", "dict", "list") and not value.args and not value.keywords
+    return False
+
+
+def test_no_module_level_accumulator():
+    # results carry their own statistics; a module-level counter or cache
+    # would be state shared by every caller in the process
+    found = []
+    for path in sorted(Path(SRC, "wordrep").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _empty_accumulator(node.value):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_all_keeps_the_public_names():

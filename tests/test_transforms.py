@@ -26,13 +26,11 @@ from wordrep import (
     cycle_word,
     derive_graph,
     equalize_uniformity,
-    fallback_counts,
     format_word,
     ladder_word,
     parse_word,
     permutation_blocks,
     representation_number,
-    reset_fallback_counts,
     substitute_module,
     tree_word,
     uniformity,
@@ -191,6 +189,16 @@ class TestCycleWord:
             assert uniformity(w).k == 2
             assert naive_represents(w.letters, build_family("cycle", n))
 
+    def test_closed_form(self):
+        # the path word rooted at 2 is 1 n (n-1) n (n-2) (n-1) ... 1 2, and
+        # the cycle word is that word with its first two letters swapped
+        for n in range(3, 41):
+            path = build_family("path", n)
+            base = ["1", str(n)]
+            base += [str(v) for m in range(n - 1, 0, -1) for v in (m, m + 1)]
+            assert naive_represents(base, path), n
+            assert cycle_word(n).letters == (str(n), "1", *base[2:]), n
+
     def test_hexagon_is_crown3(self):
         assert are_isomorphic(derive_graph(cycle_word(6)), build_family("crown", 3))
 
@@ -286,7 +294,6 @@ class TestAddPath:
 
     def test_golden_petersen_pairs(self):
         petersen = parse_word(PETERSEN_WORD)
-        reset_fallback_counts()
         start = time.perf_counter()
         words = {
             (x, y, length): add_path(petersen, x, y, length)
@@ -294,7 +301,6 @@ class TestAddPath:
             for length in (3, 4, 5)
         }
         assert time.perf_counter() - start < 1.0
-        assert fallback_counts() == {}
         for (x, y, length), out in words.items():
             assert path_word_ok(petersen.letters, x, y, length, out), (x, y, length)
         for (x, y), want in ADD_PATH_GOLDEN.items():
@@ -570,12 +576,26 @@ class TestRepNumberArithmetic:
         assert out.glue_vertex == 3
 
 
-class TestFallbackCounters:
-    def test_reset_and_read(self):
-        reset_fallback_counts()
-        assert sum(fallback_counts().values()) == 0
-        # a plain combine should not consume the fallback
-        w1 = parse_word("x1 x x1 x")
-        w2 = parse_word("y y1 y y1")
-        combine(w1, w2, "x", "y", CombineMode("connect-edge", None))
-        assert fallback_counts().get("combine", 0) == 0
+class TestCombineSweep:
+    def test_seeded_sweep_verifies_by_oracle(self):
+        # combine is a direct construction; every result must represent the
+        # joined graph, checked here by brute-force alternation
+        rng = random.Random(7)
+        for i in range(2000):
+            k = rng.choice((2, 3, 4))
+            one = [f"a{j}" for j in range(rng.randint(1, 5))] * k
+            two = [f"b{j}" for j in range(rng.randint(1, 5))] * k
+            rng.shuffle(one)
+            rng.shuffle(two)
+            x, y = rng.choice(one), rng.choice(two)
+            e1, e2 = naive_edge_set(one), naive_edge_set(two)
+            if i % 2:
+                mode = CombineMode("connect-edge", None)
+                want = e1 | e2 | {frozenset((x, y))}
+            else:
+                mode = CombineMode("glue-vertex", "z")
+                want = {frozenset("z" if t == x else t for t in e) for e in e1}
+                want |= {frozenset("z" if t == y else t for t in e) for e in e2}
+            out = combine(Word(one), Word(two), x, y, mode)
+            assert uniformity(out).k == k
+            assert naive_edge_set(out.letters) == want, (one, two, x, y, mode)
