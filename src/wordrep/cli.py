@@ -17,7 +17,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ParseError, VerificationError
+from .errors import VerificationError
 from .graphs import FAMILIES, Graph, build_family, format_graph, parse_graph
 
 if TYPE_CHECKING:
@@ -435,10 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -40,6 +40,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def reach(masks: Sequence[int], start: int, allowed: int) -> int:
+    """The vertices of `allowed` reachable from start by one or more steps.
+
+    masks[x] is the bitmask of x's neighbours (out-neighbours, for a
+    digraph); start itself is included only when a walk returns to it.
+    """
+    seen = 0
+    frontier = masks[start] & allowed
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        for x in iter_bits(frontier):
+            nxt |= masks[x] & allowed
+        frontier = nxt & ~seen
+    return seen
+
+
 class Graph:
     """Undirected simple graph over string vertex labels."""
 

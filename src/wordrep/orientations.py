@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, _read_pairs, iter_bits
+from .graphs import Graph, _read_pairs, iter_bits, reach
 
 
 class Orientation:
@@ -153,24 +153,6 @@ def orient_by_order(g: Graph, order: Sequence[str]) -> Orientation:
     return Orientation(g, arcs)
 
 
-def _topological_order(d: Orientation) -> list[int]:
-    n = d.base.n
-    indeg = [0] * n
-    for i in range(n):
-        for j in iter_bits(d.out[i]):
-            indeg[j] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    out_order: list[int] = []
-    while ready:
-        i = ready.pop()
-        out_order.append(i)
-        for j in iter_bits(d.out[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return out_order
-
-
 def _is_clique(adj: Sequence[int], mask: int) -> bool:
     for a in iter_bits(mask):
         if mask & ~adj[a] & ~(1 << a):
@@ -214,8 +196,9 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     Cyclic input is rejected, quoting a directed cycle.  Arcs are scanned in
     index order and each candidate arc u->v is checked by DFS over the simple
     directed u-v paths; the first path carrying a non-adjacent vertex pair is
-    returned.  Arcs whose reachability interval is a clique are skipped, as
-    no path between their ends can contain a missing pair.
+    returned.  Every such path runs inside the interval of u->v, the vertices
+    reachable from u that reach v, so an arc whose interval has fewer than
+    two vertices, or spans a clique together with u and v, is skipped.
     """
     cyc = directed_cycle(d)
     if cyc is not None:
@@ -225,38 +208,20 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     out = d.out
     labs = d.base.labels
 
-    topo = _topological_order(d)
-    desc = [0] * n
-    for i in reversed(topo):
-        m = out[i]
-        for j in iter_bits(out[i]):
-            m |= desc[j]
-        desc[i] = m
+    full = (1 << n) - 1
     inn = [0] * n
     for i in range(n):
         for j in iter_bits(out[i]):
             inn[j] |= 1 << i
-    anc = [0] * n
-    for j in topo:
-        m = inn[j]
-        for i in iter_bits(inn[j]):
-            m |= anc[i]
-        anc[j] = m
-
-    clique_cache: dict[int, bool] = {}
-
-    def clique(mask: int) -> bool:
-        got = clique_cache.get(mask)
-        if got is None:
-            got = clique_cache[mask] = _is_clique(adj, mask)
-        return got
+    anc = [reach(inn, v, full) for v in range(n)]
 
     for u in range(n):
+        desc = reach(out, u, full)
         for v in iter_bits(out[u]):
-            inter = desc[u] & anc[v]
+            inter = desc & anc[v]
             if inter.bit_count() < 2:
                 continue
-            if clique(inter | 1 << u | 1 << v):
+            if _is_clique(adj, inter | 1 << u | 1 << v):
                 continue
             path = _shortcut_path(adj, out, u, v, inter)
             if path is not None:
@@ -305,17 +270,6 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     placed = 0
     order: list[int] = []
     nodes = 0
-
-    def reach(masks: list[int], start: int, allowed: int) -> int:
-        seen = 0
-        frontier = masks[start] & allowed
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for x in iter_bits(frontier):
-                nxt |= masks[x] & allowed
-            frontier = nxt & ~seen
-        return seen
 
     def completes_shortcut(w: int) -> bool:
         # arcs into w were just added; any new shortcut must end at w

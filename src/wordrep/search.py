@@ -420,11 +420,7 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     dim, realizer = poset_dimension(base.witness)
     if dim > k:
         return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
-    orders = list(realizer.orders)
-    i = 0
-    while len(orders) < k:
-        orders.append(realizer.orders[i % dim])
-        i += 1
+    orders = [realizer.orders[i % dim] for i in range(k)]
     fam = LinearOrderFamily(tuple(orders))
     if not represents(fam.word(), g):
         raise VerificationError("permutational representation failed verification")

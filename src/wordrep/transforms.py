@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, build_family, validate_label
+from .graphs import Graph, build_family, reach, validate_label
 from .words import (
     LinearOrderFamily,
     Word,
@@ -59,7 +59,6 @@ class _RepNumberInput(NamedTuple):
     k2: int
     n1: int
     n2: int
-    mode: CombineMode | None
 
 
 class RepNumberInput(_RepNumberInput):
@@ -67,9 +66,7 @@ class RepNumberInput(_RepNumberInput):
 
     __slots__ = ()
 
-    def __new__(
-        cls, k1: int, k2: int, n1: int, n2: int, mode: CombineMode | None = None
-    ) -> RepNumberInput:
+    def __new__(cls, k1: int, k2: int, n1: int, n2: int) -> RepNumberInput:
         for name, value in (("k1", k1), ("k2", k2), ("n1", n1), ("n2", n2)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -77,7 +74,7 @@ class RepNumberInput(_RepNumberInput):
             raise ValueError("a single-vertex graph has representation number 1")
         if n2 == 1 and k2 != 1:
             raise ValueError("a single-vertex graph has representation number 1")
-        return super().__new__(cls, k1, k2, n1, n2, mode)
+        return super().__new__(cls, k1, k2, n1, n2)
 
 
 class CombinedRepNumbers(NamedTuple):
@@ -368,15 +365,8 @@ def _check_tree(t: Graph) -> None:
         raise ValueError("a tree must have at least one vertex")
     if t.edge_count != n - 1:
         raise ValueError("not a tree: edge count differs from vertex count - 1")
-    seen = {t.labels[0]}
-    frontier = [t.labels[0]]
-    while frontier:
-        u = frontier.pop()
-        for v in t.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    if len(seen) != n:
+    full = (1 << n) - 1
+    if (reach(t.adj, 0, full) | 1) != full:
         raise ValueError("not a tree: the graph is disconnected")
 
 

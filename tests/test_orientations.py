@@ -20,6 +20,7 @@ from wordrep import (
     parse_orientation,
     representation_number,
 )
+from wordrep.orientations import _semi_transitive_search
 from wordrep.search import WITNESS_FOUND
 from oracles import naive_has_shortcut, random_graph
 
@@ -108,6 +109,10 @@ class TestFindShortcut:
             (19, 7, (("2", "3", "4", "1", "6"), ("2", "1"))),
             (26, 8, (("2", "3", "1", "6", "8", "5"), ("2", "1"))),
             (30, 6, (("1", "2", "3", "4", "6"), ("2", "6"))),
+            (0, 9, (("2", "3", "4", "1", "7"), ("2", "1"))),
+            (2, 9, None),
+            (3, 10, (("1", "2", "5", "10", "7"), ("1", "5"))),
+            (7, 10, (("1", "7", "4", "6", "3"), ("1", "4"))),
         ],
     )
     def test_golden_witness(self, seed, n, want):
@@ -170,6 +175,34 @@ class TestExistsSemiTransitive:
         found = exists_semi_transitive(g) is not None
         rep = representation_number(g).status == WITNESS_FOUND
         assert found == rep
+
+
+class TestSemiTransitiveSearch:
+    # (family, size) -> (arcs of the orientation found, nodes placed)
+    @pytest.mark.parametrize(
+        "family, size, arcs, nodes",
+        [
+            (
+                "prism", 4,
+                "1>2 1>4 1>1' 2>3 2>2' 3>3' 4>3 4>4' 1'>2' 1'>4' 2'>3' 4'>3'",
+                38,
+            ),
+            (
+                "crown", 4,
+                "1>2' 1>3' 1>4' 2>1' 2>3' 2>4' 3>1' 3>2' 3>4' 4>1' 4>2' 4>3'",
+                8,
+            ),
+            (
+                "petersen", 10,
+                "1>2 1>5 1>6 2>3 2>7 3>4 3>8 4>9 5>4 5>10 6>8 6>9 7>9 7>10 8>10",
+                136,
+            ),
+        ],
+    )
+    def test_golden_arcs_and_nodes(self, family, size, arcs, nodes):
+        d, got_nodes = _semi_transitive_search(build_family(family, size))
+        assert d.arcs() == [tuple(a.split(">")) for a in arcs.split()]
+        assert got_nodes == nodes
 
 
 class TestOrientationText:

@@ -67,7 +67,7 @@ RECORDS = {
     RepNumberInput: (
         (2, 3, 4, 5),
         {"k1": 2, "k2": 3, "n1": 4, "n2": 5},
-        "RepNumberInput(k1=2, k2=3, n1=4, n2=5, mode=None)",
+        "RepNumberInput(k1=2, k2=3, n1=4, n2=5)",
     ),
     LinearOrderFamily: (
         ((("1", "2"), ("2", "1")),),
@@ -125,11 +125,10 @@ def test_different_values_differ(cls):
 
 def test_defaults():
     assert CombineMode("connect-edge").merged_label is None
-    assert RepNumberInput(1, 1, 1, 1).mode is None
     cert = RepNumberCertificate("q", "aborted", None, None, (), 0, 0.0)
     assert cert.orientation is None
-    mode = CombineMode("connect-edge")
-    assert RepNumberInput(1, 1, 1, 1, mode=mode).mode == mode
+    with pytest.raises(TypeError):
+        RepNumberInput(1, 1, 1, 1, mode=CombineMode("connect-edge"))
 
 
 def test_methods_and_properties():

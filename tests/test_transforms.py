@@ -164,11 +164,14 @@ class TestTreeWord:
         assert format_word(tree_word(t)) == "7 7"
 
     def test_non_tree_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge count"):
             tree_word(build_family("cycle", 3))
-        disconnected = Graph(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
-        with pytest.raises(ValueError):
-            tree_word(disconnected)
+        two_edges = Graph(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
+        with pytest.raises(ValueError, match="edge count"):
+            tree_word(two_edges)
+        triangle_and_point = Graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("1", "3")])
+        with pytest.raises(ValueError, match="disconnected"):
+            tree_word(triangle_and_point)
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     def test_random_trees_verify(self, n, rng):
