@@ -57,6 +57,23 @@ def reach(masks: Sequence[int], start: int, allowed: int) -> int:
     return seen
 
 
+def in_masks(out: Sequence[int]) -> list[int]:
+    """The in-neighbour bitmasks of the digraph with out-neighbour masks out."""
+    inn = [0] * len(out)
+    for i, m in enumerate(out):
+        for j in iter_bits(m):
+            inn[j] |= 1 << i
+    return inn
+
+
+def _check_size(what: str, value: object, minimum: int | None = None) -> None:
+    # bool is an int subclass, and a float size fails later inside range()
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+
+
 class Graph:
     """Undirected simple graph over string vertex labels."""
 
@@ -173,6 +190,7 @@ def build_family(family: str, size: int) -> Graph:
     fam = family.lower()
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}")
+    _check_size(f"{fam} size", size)
     if fam == "petersen":
         if size != 10:
             raise ValueError("petersen family has exactly 10 vertices")

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, _read_pairs, iter_bits, reach
+from .graphs import Graph, _read_pairs, in_masks, iter_bits, reach
 
 
 class Orientation:
@@ -165,9 +165,14 @@ def _shortcut_path(
 ) -> list[int] | None:
     """The first simple u->v path through `inside` that could be a shortcut.
 
-    Successors are tried in index order; the path found has at least four
-    vertices and carries a non-adjacent pair.
+    `inside` is the interval of u->v: the vertices reachable from u that reach
+    v, where every such path runs.  When it has fewer than two vertices, or
+    spans a clique together with u and v, no path qualifies and the DFS is
+    skipped.  Successors are tried in index order; the path found has at
+    least four vertices and carries a non-adjacent pair.
     """
+    if inside.bit_count() < 2 or _is_clique(adj, inside | 1 << u | 1 << v):
+        return None
     path = [u]
     on_path = 1 << u
 
@@ -195,10 +200,8 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
 
     Cyclic input is rejected, quoting a directed cycle.  Arcs are scanned in
     index order and each candidate arc u->v is checked by DFS over the simple
-    directed u-v paths; the first path carrying a non-adjacent vertex pair is
-    returned.  Every such path runs inside the interval of u->v, the vertices
-    reachable from u that reach v, so an arc whose interval has fewer than
-    two vertices, or spans a clique together with u and v, is skipped.
+    directed u-v paths inside the arc's interval; the first path carrying a
+    non-adjacent vertex pair is returned.
     """
     cyc = directed_cycle(d)
     if cyc is not None:
@@ -209,21 +212,13 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     labs = d.base.labels
 
     full = (1 << n) - 1
-    inn = [0] * n
-    for i in range(n):
-        for j in iter_bits(out[i]):
-            inn[j] |= 1 << i
+    inn = in_masks(out)
     anc = [reach(inn, v, full) for v in range(n)]
 
     for u in range(n):
         desc = reach(out, u, full)
         for v in iter_bits(out[u]):
-            inter = desc & anc[v]
-            if inter.bit_count() < 2:
-                continue
-            if _is_clique(adj, inter | 1 << u | 1 << v):
-                continue
-            path = _shortcut_path(adj, out, u, v, inter)
+            path = _shortcut_path(adj, out, u, v, desc & anc[v])
             if path is not None:
                 a, b = next(
                     (x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1
@@ -247,8 +242,10 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     Vertex orders are enumerated (every acyclic orientation arises from one);
     a prefix dies as soon as the arcs into the newest vertex complete a
     shortcut.  The witness comes from the lexicographically least successful
-    order, by placing candidate vertices in index order.  For n <= 7 a
-    seen-set over (placed vertices, arc directions) skips replayed states.
+    order, by placing candidate vertices in index order.  For n <= 7 a set
+    of dead states skips replayed ones.  A state is one int: the placed set
+    in bits 0..n-1 and, at bit (w + 1) * n, the in-neighbour mask of each
+    placed w, which fixes every arc between placed vertices.
     """
     return _semi_transitive_search(g)[0]
 
@@ -261,13 +258,13 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     if n == 0:
         return Orientation(g, []), 0
 
-    edge_list = [(i, j) for i in range(n) for j in iter_bits(adj[i]) if i < j]
     use_memo = n <= 7
-    dead: set[tuple[int, int]] = set()
+    dead: set[int] = set()
 
     out = [0] * n
     inn = [0] * n
     placed = 0
+    key = 0
     order: list[int] = []
     nodes = 0
 
@@ -275,30 +272,17 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
         # arcs into w were just added; any new shortcut must end at w
         anc_w = reach(inn, w, placed)
         for u in iter_bits(adj[w] & placed):
-            cand = reach(out, u, placed) & anc_w & ~(1 << u)
-            if cand.bit_count() < 2:
-                continue
-            if _is_clique(adj, cand | 1 << u | 1 << w):
-                continue
-            if _shortcut_path(adj, out, u, w, cand) is not None:
+            inside = reach(out, u, placed) & anc_w
+            if _shortcut_path(adj, out, u, w, inside) is not None:
                 return True
         return False
 
-    def state_key() -> tuple[int, int]:
-        bits = 0
-        for e, (i, j) in enumerate(edge_list):
-            if placed >> i & placed >> j & 1 and out[i] >> j & 1:
-                bits |= 1 << e
-        return placed, bits
-
     def place(depth: int) -> bool:
-        nonlocal placed, nodes
+        nonlocal placed, key, nodes
         if depth == n:
             return True
-        if use_memo:
-            key = state_key()
-            if key in dead:
-                return False
+        if use_memo and key in dead:
+            return False
         for w in range(n):
             if placed >> w & 1:
                 continue
@@ -306,15 +290,17 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
             for u in iter_bits(tails):
                 out[u] |= 1 << w
             inn[w] = tails
-            bad = completes_shortcut(w)
-            placed |= 1 << w
-            if not bad:
+            if not completes_shortcut(w):
+                step = 1 << w | tails << (w + 1) * n
+                placed ^= 1 << w
+                key ^= step
                 nodes += 1
                 order.append(w)
                 if place(depth + 1):
                     return True
                 order.pop()
-            placed &= ~(1 << w)
+                placed ^= 1 << w
+                key ^= step
             inn[w] = 0
             for u in iter_bits(tails):
                 out[u] &= ~(1 << w)

@@ -12,7 +12,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, in_masks, iter_bits
 from .words import LinearOrderFamily, Word, represents
 
 if TYPE_CHECKING:
@@ -254,7 +254,8 @@ def find_transitive_orientation(g: Graph) -> Certificate:
     Backtracks over undirected edges, trying both directions with unit
     propagation: setting a->b forces x->b for every x->a and a->y for every
     b->y, failing when a forced pair is non-adjacent or already directed the
-    other way.
+    other way.  The partial orientation is its out- and in-neighbour masks;
+    an edge is open while neither mask directs it.
     """
     from .orientations import Orientation, is_transitive
 
@@ -263,22 +264,16 @@ def find_transitive_orientation(g: Graph) -> Certificate:
     adj = g.adj
     query = f"transitive-orientation n={n} m={g.edge_count}"
     edges = [(i, j) for i in range(n) for j in iter_bits(adj[i]) if i < j]
-    m = len(edges)
-    eid = {e: t for t, e in enumerate(edges)}
-    assigned = [0] * m  # 0 open, 1 = i->j, 2 = j->i
     out = [0] * n
     inn = [0] * n
     nodes = 0
 
-    def set_arc(a: int, b: int, changed: list[int]) -> bool:
-        t = eid[(a, b) if a < b else (b, a)]
-        want = 1 if a < b else 2
-        if assigned[t]:
-            return assigned[t] == want
-        assigned[t] = want
+    def set_arc(a: int, b: int, changed: list[tuple[int, int]]) -> bool:
+        if (out[a] | inn[a]) >> b & 1:
+            return bool(out[a] >> b & 1)
         out[a] |= 1 << b
         inn[b] |= 1 << a
-        changed.append(t)
+        changed.append((a, b))
         for x in iter_bits(inn[a]):
             if not adj[x] >> b & 1 or not set_arc(x, b, changed):
                 return False
@@ -287,34 +282,26 @@ def find_transitive_orientation(g: Graph) -> Certificate:
                 return False
         return True
 
-    def rollback(changed: list[int]) -> None:
-        for t in reversed(changed):
-            i, j = edges[t]
-            a, b = (i, j) if assigned[t] == 1 else (j, i)
-            assigned[t] = 0
-            out[a] &= ~(1 << b)
-            inn[b] &= ~(1 << a)
-
     def solve() -> bool:
         nonlocal nodes
-        t = next((t for t in range(m) if not assigned[t]), -1)
-        if t < 0:
+        for i, j in edges:
+            if not (out[i] >> j | out[j] >> i) & 1:
+                break
+        else:
             return True
-        i, j = edges[t]
         for a, b in ((i, j), (j, i)):
-            changed: list[int] = []
+            changed: list[tuple[int, int]] = []
             nodes += 1
             if set_arc(a, b, changed) and solve():
                 return True
-            rollback(changed)
+            for x, y in changed:
+                out[x] &= ~(1 << y)
+                inn[y] &= ~(1 << x)
         return False
 
     if solve():
         labs = g.labels
-        arcs = []
-        for t, (i, j) in enumerate(edges):
-            a, b = (i, j) if assigned[t] == 1 else (j, i)
-            arcs.append((labs[a], labs[b]))
+        arcs = [(labs[a], labs[b]) for a in range(n) for b in iter_bits(out[a])]
         d = Orientation(g, arcs)
         if not is_transitive(d):
             raise VerificationError("completed orientation is not transitive")
@@ -345,10 +332,7 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     if n == 0:
         return 1, LinearOrderFamily(((),))
     out = d.out
-    inn = [0] * n
-    for i in range(n):
-        for j in iter_bits(out[i]):
-            inn[j] |= 1 << i
+    inn = in_masks(out)
     critical = [
         (a, b)
         for a in range(n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, build_family, reach, validate_label
+from .graphs import Graph, _check_size, build_family, reach, validate_label
 from .words import (
     LinearOrderFamily,
     Word,
@@ -68,8 +68,7 @@ class RepNumberInput(_RepNumberInput):
 
     def __new__(cls, k1: int, k2: int, n1: int, n2: int) -> RepNumberInput:
         for name, value in (("k1", k1), ("k2", k2), ("n1", n1), ("n2", n2)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            _check_size(name, value, 1)
         if n1 == 1 and k1 != 1:
             raise ValueError("a single-vertex graph has representation number 1")
         if n2 == 1 and k2 != 1:
@@ -91,14 +90,6 @@ def _require_uniform(w: Word, minimum: int, what: str) -> int:
     if prof.k < minimum:
         raise ValueError(f"{what} must be at least {minimum}-uniform, got k={prof.k}")
     return prof.k
-
-
-def _check_size(what: str, value: object, minimum: int) -> None:
-    # bool is an int subclass, and a float size fails later inside range()
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{what} must be at least {minimum}, got {value}")
 
 
 def _verified(result: Word, target: Graph, what: str) -> Word:

@@ -7,7 +7,7 @@ library under test never shares code paths with its own checker.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from wordrep import Graph, Orientation
 
@@ -81,6 +81,16 @@ def naive_has_shortcut(d: Orientation) -> bool:
         for a, b in combinations(path, 2):
             if not d.base.has_edge(a, b):
                 return True
+    return False
+
+
+def naive_transitive_orientation_exists(g: Graph) -> bool:
+    """Try all 2^m directions of the edges; u->v and v->w must give u->w."""
+    edges = g.edges()
+    for flips in product((False, True), repeat=len(edges)):
+        arcs = {(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)}
+        if all((u, w) in arcs for u, v in arcs for x, w in arcs if x == v):
+            return True
     return False
 
 

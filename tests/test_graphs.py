@@ -101,6 +101,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_family("unknown", 3)
 
+    @pytest.mark.parametrize(
+        "family, size",
+        [("complete", True), ("crown", True), ("ladder", 2.0), ("petersen", 10.0)],
+    )
+    def test_non_integer_size_rejected(self, family, size):
+        # True once built K1 and crown(1); 2.0 failed inside range()
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_family(family, size)
+
 
 class TestBuilders:
     def test_add_apex(self):

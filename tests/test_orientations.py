@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordrep import (
     Graph,
+    add_apex,
     Orientation,
     ParseError,
     build_family,
@@ -156,8 +157,6 @@ class TestExistsSemiTransitive:
         assert is_acyclic(d) and find_shortcut(d) is None
 
     def test_wheel5_none(self):
-        from wordrep import add_apex
-
         w5 = add_apex(build_family("cycle", 5), "a")
         assert exists_semi_transitive(w5) is None
 
@@ -178,10 +177,13 @@ class TestExistsSemiTransitive:
 
 
 class TestSemiTransitiveSearch:
-    # (family, size) -> (arcs of the orientation found, nodes placed)
+    # (family, size) -> (arcs of the orientation found, nodes placed); the
+    # dead-state memo acts on Pr3 and C7 (n <= 7) and not on the others
     @pytest.mark.parametrize(
         "family, size, arcs, nodes",
         [
+            ("prism", 3, "1>2 1>3 1>1' 2>3 2>2' 3>3' 1'>2' 1'>3' 2'>3'", 6),
+            ("cycle", 7, "1>2 1>7 2>3 3>4 4>5 5>6 7>6", 8),
             (
                 "prism", 4,
                 "1>2 1>4 1>1' 2>3 2>2' 3>3' 4>3 4>4' 1'>2' 1'>4' 2'>3' 4'>3'",
@@ -203,6 +205,21 @@ class TestSemiTransitiveSearch:
         d, got_nodes = _semi_transitive_search(build_family(family, size))
         assert d.arcs() == [tuple(a.split(">")) for a in arcs.split()]
         assert got_nodes == nodes
+
+    # exhausted with the dead-state memo on: W5 (n = 6), and W5 with a
+    # pendant vertex at its hub (n = 7)
+    @pytest.mark.parametrize("pendant, nodes", [(False, 476), (True, 1579)])
+    def test_golden_memo_exhaustion(self, pendant, nodes):
+        g = add_apex(build_family("cycle", 5), "a")
+        if pendant:
+            g = Graph(g.labels + ("p",), g.edges() + [("a", "p")])
+        assert _semi_transitive_search(g) == (None, nodes)
+
+    def test_golden_seven_vertex_sample(self):
+        rng = random.Random(77)
+        results = [_semi_transitive_search(random_graph(rng, 7)) for _ in range(300)]
+        assert sum(nodes for _, nodes in results) == 13488
+        assert sum(d is None for d, _ in results) == 6
 
 
 class TestOrientationText:

@@ -33,6 +33,7 @@ from oracles import (
     naive_k_uniform_words,
     naive_poset_dimension,
     naive_represents,
+    naive_transitive_orientation_exists,
     random_graph,
 )
 
@@ -304,6 +305,51 @@ class TestTransitiveOrientationSearch:
         cert = find_transitive_orientation(g)
         if cert.status == WITNESS_FOUND:
             assert is_transitive(cert.witness)
+
+    # family -> (status, arcs or None, nodes_explored)
+    @pytest.mark.parametrize(
+        "family, size, status, arcs, nodes",
+        [
+            ("complete", 4, WITNESS_FOUND, "1>2 1>3 1>4 2>3 2>4 3>4", 6),
+            ("cycle", 5, EXHAUSTED, None, 18),
+            ("cycle", 6, WITNESS_FOUND, "1>2 1>6 3>2 3>4 5>4 5>6", 8),
+            (
+                "crown", 4, WITNESS_FOUND,
+                "1>2' 1>3' 1>4' 2>1' 2>3' 2>4' 3>1' 3>2' 3>4' 4>1' 4>2' 4>3'",
+                12,
+            ),
+        ],
+    )
+    def test_golden_arcs_and_nodes(self, family, size, status, arcs, nodes):
+        cert = find_transitive_orientation(build_family(family, size))
+        assert cert.status == status
+        if arcs is None:
+            assert cert.witness is None
+        else:
+            assert cert.witness.arcs() == [tuple(a.split(">")) for a in arcs.split()]
+        assert cert.nodes_explored == nodes
+
+    def test_golden_seeded_sample(self):
+        rng = random.Random(99)
+        certs = [
+            find_transitive_orientation(random_graph(rng, 7 + i % 3)) for i in range(300)
+        ]
+        assert sum(c.nodes_explored for c in certs) == 16323
+        assert sum(c.status == WITNESS_FOUND for c in certs) == 149
+
+    def test_status_matches_oracle_up_to_five_vertices(self):
+        # every labelled graph on at most five vertices, both sides of the answer
+        counts = {WITNESS_FOUND: 0, EXHAUSTED: 0}
+        for n in range(6):
+            labels = [str(i) for i in range(1, n + 1)]
+            pairs = list(combinations(labels, 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(labels, [p for t, p in enumerate(pairs) if mask >> t & 1])
+                status = find_transitive_orientation(g).status
+                found = status == WITNESS_FOUND
+                assert found == naive_transitive_orientation_exists(g), g
+                counts[status] += 1
+        assert counts[EXHAUSTED] > 0
 
 
 class TestPosetDimension:
