@@ -170,10 +170,10 @@ def test_combine_mode_rejects(kind, label, message):
     ((1, 0, 2, 2), "k2 must be at least 1, got 0"),
     ((1, 1, 0, 2), "n1 must be at least 1, got 0"),
     ((1, 1, 2, -1), "n2 must be at least 1, got -1"),
-    ((True, 1, 2, 2), "k1 must be an integer, got True"),
-    ((1, 1, 2.0, 2), "n1 must be an integer, got 2.0"),
     ((2, 1, 1, 2), "single-vertex graph"),
     ((1, 2, 2, 1), "single-vertex graph"),
+    ((True, 1, 2, 2), "k1 must be an integer, got True"),
+    ((1, 1, 2.0, 2), "n1 must be an integer, got 2.0"),
 ])
 def test_rep_number_input_rejects(values, message):
     with pytest.raises(ValueError, match=message):
