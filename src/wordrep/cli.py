@@ -170,7 +170,7 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
-    from .orientations import exists_semi_transitive, format_orientation
+    from .orientations import exists_semi_transitive, format_orientation, is_semi_transitive
 
     g = _load_graph(args.graph)
     _check_bound(g.n, ORIENT_VERTEX_BOUND, "orient")
@@ -184,6 +184,8 @@ def cmd_orient(args: argparse.Namespace) -> int:
         rep.add("elapsed-ms", _ms(elapsed, args.deterministic))
         rep.emit()
         return 1
+    if not is_semi_transitive(d):
+        raise VerificationError("found orientation is not semi-transitive")
     rep.add("status", "semi-transitive")
     rep.add("witness", " ".join(f"{u}->{v}" for u, v in d.arcs()) or "-")
     rep.add("elapsed-ms", _ms(elapsed, args.deterministic))
@@ -374,22 +376,23 @@ def _add_options(p: argparse.ArgumentParser, options) -> None:
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand; with a command, only that one declares its options.
+    """Every subcommand, or with a command only that one's parser.
 
     argparse hands the arguments to the one subcommand that argv names, so a
-    process that runs one need not build the others' options or transform's
-    ten ops.
+    process that runs one need not build the others or transform's ten ops;
+    the metavar keeps every name in the top-level usage line.
     """
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representable graphs: verify, search, orient, construct.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name, (help_text, options, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
             _add_options(p, options)
-        p.set_defaults(func=handler)
+            p.set_defaults(func=handler)
     if command in (None, "transform"):
         ops = sub.choices["transform"].add_subparsers(dest="op", required=True)
         for op, (options, _) in _TRANSFORMS.items():

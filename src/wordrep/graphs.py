@@ -183,9 +183,10 @@ def build_family(family: str, size: int) -> Graph:
     """Build a named graph family member with canonical labels.
 
     complete/path/cycle use labels 1..n; prism, ladder and crown use 1..n plus
-    1'..n'.  The prism is two n-cycles joined by the matching (i, i'); the
-    ladder has rails 1-..-n and 1'-..-n' with rungs (i, i'); the crown is the
-    complete bipartite graph minus the perfect matching (i, i').
+    1'..n'.  The ladder has rails 1-..-n and 1'-..-n' with rungs (i, i'); the
+    prism is the ladder plus the two edges (n, 1) and (n', 1') that close its
+    rails; the crown is the complete bipartite graph minus the perfect
+    matching (i, i').
     """
     fam = family.lower()
     if fam not in FAMILIES:
@@ -211,17 +212,13 @@ def build_family(family: str, size: int) -> Graph:
         return Graph(labs, zip(labs, labs[1:]))
     if fam == "cycle":
         labs = _canon(n)
-        return Graph(labs, list(zip(labs, labs[1:])) + [(labs[-1], labs[0])])
+        return Graph(labs, zip(labs, labs[1:] + labs[:1]))
     plain, primed = _canon(n), _primed(n)
-    rungs = list(zip(plain, primed))
-    if fam == "prism":
-        ring1 = list(zip(plain, plain[1:])) + [(plain[-1], plain[0])]
-        ring2 = list(zip(primed, primed[1:])) + [(primed[-1], primed[0])]
-        return Graph(plain + primed, ring1 + ring2 + rungs)
-    if fam == "ladder":
-        rail1 = list(zip(plain, plain[1:]))
-        rail2 = list(zip(primed, primed[1:]))
-        return Graph(plain + primed, rail1 + rail2 + rungs)
+    if fam in ("ladder", "prism"):
+        edges = [*zip(plain, plain[1:]), *zip(primed, primed[1:]), *zip(plain, primed)]
+        if fam == "prism":
+            edges += [(plain[-1], plain[0]), (primed[-1], primed[0])]
+        return Graph(plain + primed, edges)
     # crown: complete bipartite minus the matching
     cross = [(plain[i], primed[j]) for i in range(n) for j in range(n) if i != j]
     return Graph(plain + primed, cross)
@@ -244,6 +241,12 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     labs = [l for l in g.labels if l in keep_set]
     edges = [(a, b) for a, b in g.edges() if a in keep_set and b in keep_set]
     return Graph(labs, edges)
+
+
+def _union(*graphs: Graph) -> Graph:
+    """The graph on every vertex and every edge of the given graphs."""
+    labels = dict.fromkeys(l for g in graphs for l in g.labels)
+    return Graph(labels, [e for g in graphs for e in g.edges()])
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -289,8 +292,9 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by branch and bound.
 
-    A greedy clique gives the lower bound; colourings are searched with the
-    first-fit symmetry break.  Practical for graphs of up to ~12 vertices.
+    A greedy clique gives the lower bound and n colours always suffice;
+    fewer colours are searched with the first-fit symmetry break.
+    Practical for graphs of up to ~12 vertices.
     """
     n = g.n
     if n == 0:
@@ -321,7 +325,7 @@ def chromatic_number(g: Graph) -> int:
                 color[v] = -1
         return False
 
-    for c in range(lower, n + 1):
+    for c in range(lower, n):
         for i in range(n):
             color[i] = -1
         if colorable(0, 0, c):

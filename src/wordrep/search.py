@@ -73,14 +73,15 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     letter on exactly those pairs.  live[c] holds the non-edges at c whose
     subsequence still alternates; two and avail hold the letters with at
     least two and at least one copy left.  Placing c is refused when it
-    repeats a letter on an edge, or when it is c's final copy and either a
-    neighbour has two or more copies left (they would repeat after it) or a
-    live non-edge not repeated by this copy has at most one copy left (it
-    could never repeat).  Two symmetry reductions, both sound for
-    exhaustion: (a) the word starts with a fixed maximum-degree vertex,
-    justified by rotating any representant to such a start; (b) of a word and
-    its rotated reverse (which share that first letter) only the one whose
-    second letter does not exceed its last letter is enumerated.
+    repeats a letter on an edge, or when it is c's final copy and a live
+    non-edge not repeated by this copy has at most one copy left (it could
+    never repeat).  A neighbour d never has two copies left then: the
+    subsequence on {c, d} alternates and ends in d, so d has placed k - 1 or
+    k copies.  Two symmetry reductions, both sound for exhaustion: (a) the
+    word starts with a fixed maximum-degree vertex, justified by rotating any
+    representant to such a start; (b) of a word and its rotated reverse
+    (which share that first letter) only the one whose second letter does not
+    exceed its last letter is enumerated.
     """
     _check_positive("k", k)
     t0 = time.perf_counter()
@@ -120,7 +121,7 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
             if adj[c] & ends:
                 continue
             final = not two & bc
-            if final and (adj[c] & two or live[c] & ~ends & ~two):
+            if final and live[c] & ~ends & ~two:
                 continue
             died = live[c] & ends
             if died:

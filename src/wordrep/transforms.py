@@ -1,8 +1,9 @@
 """Constructive word builders for graph operations and families.
 
 Every builder is a direct construction, with no search: it re-derives the
-graph of its output once and compares it against an independently constructed
-target; a mismatch is a hard failure.
+graph of its output once and compares it against a target built
+independently from graph values (a union of graphs, a relabelling, an
+induced subgraph or an apex); a mismatch is a hard failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, _check_size, build_family, reach, validate_label
+from .graphs import Graph, _check_size, _union, add_apex, build_family
+from .graphs import induced_subgraph, reach, validate_label
 from .words import (
     LinearOrderFamily,
     Word,
@@ -98,13 +100,6 @@ def _verified(result: Word, target: Graph, what: str) -> Word:
     return result
 
 
-def _with_edge(g: Graph, extra_vertex: str | None, extra_edges) -> Graph:
-    labels = list(g.labels)
-    if extra_vertex is not None:
-        labels.append(extra_vertex)
-    return Graph(labels, list(g.edges()) + list(extra_edges))
-
-
 def _leaf_letters(letters, x: str, y: str) -> list[str]:
     # y x y for the first x, x for the second, y x for each later one
     out: list[str] = []
@@ -132,7 +127,7 @@ def add_leaf(w: Word, x: str, y: str) -> Word:
     if y in w.alphabet:
         raise ValueError(f"label {y!r} is already taken")
     validate_label(y)
-    target = _with_edge(derive_graph(w), y, [(x, y)])
+    target = _union(derive_graph(w), Graph([x, y], [(x, y)]))
     return _verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
 
 
@@ -223,8 +218,7 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
     g2 = derive_graph(w2)
 
     if mode.kind == "connect-edge":
-        labels = list(g1.labels) + list(g2.labels)
-        edges = list(g1.edges()) + list(g2.edges()) + [(x, y)]
+        target = _union(g1, g2, Graph([x, y], [(x, y)]))
         tmp = _fresh_label(set(w1.alphabet) | set(w2.alphabet), "t")
         result = _glue_words(_leaf_letters(w1.letters, x, tmp), w2.letters, tmp, y, y)
     else:
@@ -234,14 +228,9 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
         if z in kept:
             raise ValueError(f"merged label {z!r} collides with a kept vertex")
         validate_label(z)
-        labels = [t for t in g1.labels if t != x] + [z]
-        labels += [t for t in g2.labels if t != y]
-        edges = [e for e in g1.edges() if x not in e]
-        edges += [e for e in g2.edges() if y not in e]
-        edges += [(u, z) for u in g1.neighbors(x)]
-        edges += [(z, v) for v in g2.neighbors(y)]
+        target = _union(g1.relabel({x: z}), g2.relabel({y: z}))
         result = _glue_words(w1.letters, w2.letters, x, y, z)
-    return _verified(result, Graph(labels, edges), "combine")
+    return _verified(result, target, "combine")
 
 
 def combined_rep_number(inp: RepNumberInput) -> CombinedRepNumbers:
@@ -282,20 +271,11 @@ def substitute_module(w: Word, x: str, module_perms: LinearOrderFamily) -> Word:
     if collision:
         raise ValueError(f"module labels collide with the host word: {sorted(collision)}")
 
-    module_word = module_perms.word()
-    module_graph = derive_graph(module_word)
-
     host = derive_graph(w)
-    labels: list[str] = []
-    for t in host.labels:
-        if t == x:
-            labels.extend(module_labels)
-        else:
-            labels.append(t)
-    edges = [e for e in host.edges() if x not in e]
-    edges += list(module_graph.edges())
-    edges += [(m, u) for u in host.neighbors(x) for m in module_labels]
-    target = Graph(labels, edges)
+    nbrs = host.neighbors(x)
+    join = Graph([*module_labels, *nbrs], [(m, u) for m in module_labels for u in nbrs])
+    rest = induced_subgraph(host, [t for t in host.labels if t != x])
+    target = _union(rest, derive_graph(module_perms.word()), join)
 
     occ = {p: i for i, p in enumerate(w.occurrences(x))}
     letters: list[str] = []
@@ -415,8 +395,7 @@ def cone_word(perms: LinearOrderFamily, apex: str) -> Word:
     validate_label(apex)
     if apex in perms.orders[0]:
         raise ValueError(f"apex label {apex!r} collides with the base alphabet")
-    base = derive_graph(perms.word())
-    target = _with_edge(base, apex, [(u, apex) for u in base.labels])
+    target = add_apex(derive_graph(perms.word()), apex)
     letters: list[str] = []
     for p in perms.orders:
         letters += list(p)
@@ -470,13 +449,8 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
         taken.add(lab)
         internal.append(lab)
 
-    host = derive_graph(w)
-    chain = [x] + internal + [y]
-    labels = list(host.labels) + internal
-    edges = list(host.edges()) + [
-        (chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-    ]
-    target = Graph(labels, edges)
+    chain = [x, *internal, y]
+    target = _union(derive_graph(w), Graph(chain, zip(chain, chain[1:])))
 
     letters = list(w.letters)
     u = x

@@ -166,6 +166,19 @@ class TestRepnum:
         assert code == 0
         assert report_dict(out)["elapsed-ms"] != "-"
 
+    @pytest.mark.parametrize(
+        "value, code, err",
+        [("true", 0, ""), ("maybe", 2, "argument --deterministic: expected true or false")],
+        ids=["true", "maybe"],
+    )
+    def test_deterministic_values(self, capsys, prism_file, value, code, err):
+        got, out, stderr = run(
+            capsys, "repnum", "--graph", prism_file, "--deterministic", value
+        )
+        assert got == code and err in stderr
+        if code == 0:
+            assert report_dict(out)["elapsed-ms"] == "-"
+
     def test_oversized_graph_refused(self, capsys, tmp_path):
         g = tmp_path / "big.txt"
         g.write_text(format_graph(build_family("complete", 11)))
@@ -209,6 +222,22 @@ class TestOrient:
         code, out, _ = run(capsys, "orient", "--graph", str(g))
         assert code == 1
         assert report_dict(out)["status"] == "none"
+
+    def test_witness_with_shortcut_is_verification_failure(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from wordrep import Orientation
+
+        # 1->2->3->4 with 1->4 but no 1->3: a shortcut
+        arcs = [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")]
+        c4 = Graph(["1", "2", "3", "4"], arcs)
+        bad = Orientation(c4, arcs)
+        monkeypatch.setattr("wordrep.orientations.exists_semi_transitive", lambda g: bad)
+        g = tmp_path / "c4.txt"
+        g.write_text(format_graph(c4))
+        code, out, err = run(capsys, "orient", "--graph", str(g))
+        assert code == 3 and out == ""
+        assert "not semi-transitive" in err
 
 
 class TestTables:

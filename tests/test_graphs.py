@@ -101,6 +101,10 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_family("unknown", 3)
 
+    def test_empty_complete_rejected(self):
+        with pytest.raises(ValueError, match="complete family needs size >= 1, got 0"):
+            build_family("complete", 0)
+
     @pytest.mark.parametrize(
         "family, size",
         [("complete", True), ("crown", True), ("ladder", 2.0), ("petersen", 10.0)],
@@ -198,6 +202,19 @@ class TestGraphText:
     def test_unknown_vertex_with_header(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("vertices: 1 2\n1 3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertices: 1 2\nvertices: 1 2\n", "line 2: duplicate vertices header"),
+            ("1 2\nvertices: 1 2\n", "line 2: vertices header must precede edges"),
+            ("1 2\n3 3\n", "line 2: loop edge at '3'"),
+        ],
+        ids=["duplicate-header", "header-after-edge", "loop"],
+    )
+    def test_header_and_loop_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text)
 
     @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
     def test_random_round_trip(self, n, rng):

@@ -163,6 +163,10 @@ class TestTreeWord:
         t = Graph(["7"], [])
         assert format_word(tree_word(t)) == "7 7"
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            tree_word(Graph([], []))
+
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError, match="edge count"):
             tree_word(build_family("cycle", 3))
@@ -295,6 +299,19 @@ class TestAddPath:
             with pytest.raises(ValueError, match="path length must be an integer"):
                 add_path(host, "1", "3", length)
 
+    @pytest.mark.parametrize(
+        "word, x, y, message",
+        [
+            ("1 2 3 1 2 3 1 2 3 1 2 3", "1", "3", "needs a 3-uniform word, got k=4"),
+            ("1 2 3 1 2 3 1 2 3", "1", "9", "both endpoints must occur"),
+            ("1 2 3 1 2 3 1 2 3", "2", "2", "endpoints must be distinct"),
+        ],
+        ids=["four-uniform", "absent-endpoint", "equal-endpoints"],
+    )
+    def test_bad_input_rejected(self, word, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            add_path(parse_word(word), x, y, 3)
+
     def test_golden_petersen_pairs(self):
         petersen = parse_word(PETERSEN_WORD)
         start = time.perf_counter()
@@ -405,6 +422,20 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine(w1, w2, "x", "y", CombineMode("glue-vertex", "x1"))
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("y", "y", "'y' does not occur in the first word"),
+            ("x", "x", "'x' does not occur in the second word"),
+        ],
+        ids=["x-absent", "y-absent"],
+    )
+    def test_absent_anchor_rejected(self, x, y, message):
+        w1 = parse_word("x1 x x1 x")
+        w2 = parse_word("y y1 y y1")
+        with pytest.raises(ValueError, match=message):
+            combine(w1, w2, x, y, CombineMode("connect-edge", None))
+
     def test_connect_edge_structure(self):
         w1 = rep_word(build_family("cycle", 5))
         w2 = rep_word(build_family("complete", 3))
@@ -502,6 +533,11 @@ class TestSubstituteModule:
         fam = LinearOrderFamily((("2",),))
         with pytest.raises(ValueError):
             substitute_module(host, "1", fam)
+
+    def test_absent_vertex_rejected(self):
+        fam = LinearOrderFamily((("a",),))
+        with pytest.raises(ValueError, match="'9' does not occur in the word"):
+            substitute_module(parse_word("1212"), "9", fam)
 
     def test_identity_module(self):
         host = parse_word("1 2 1 3 2 3")

@@ -93,6 +93,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_word("'1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("()", "empty '\\(\\)' group"), (")", "unbalanced '\\)'")],
+        ids=["empty-group", "lone-close"],
+    )
+    def test_bad_parentheses(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_word(text)
+
     def test_format_round_trip(self):
         w = parse_word("1 2 1 3 2 3")
         assert parse_word(format_word(w)) == w
@@ -209,6 +218,11 @@ class TestCyclicShift:
         with pytest.raises(ValueError):
             cyclic_shift(parse_word("1213423"), 1)
 
+    @pytest.mark.parametrize("cut", [-1, 5])
+    def test_cut_out_of_range_rejected(self, cut):
+        with pytest.raises(ValueError, match=f"cut must be in 0..4, got {cut}"):
+            cyclic_shift(parse_word("1212"), cut)
+
     @given(uniform_words(), st.data())
     def test_graph_invariant(self, w, data):
         cut = data.draw(st.integers(min_value=0, max_value=len(w)))
@@ -240,6 +254,13 @@ class TestExtendUniform:
         out = extend_uniform(parse_word("123"))
         assert format_word(out) == "1 2 3 1 2 3"
 
+    def test_non_uniform_rejected(self):
+        with pytest.raises(ValueError, match="requires a uniform word"):
+            extend_uniform(parse_word("1213423"))
+
+    def test_empty_word_unchanged(self):
+        assert extend_uniform(Word(())) == Word(())
+
     @given(uniform_words())
     def test_raises_k_and_preserves_graph(self, w):
         out = extend_uniform(w)
@@ -264,6 +285,16 @@ class TestBlocks:
     def test_blocks_reject_non_uniform(self):
         with pytest.raises(ValueError):
             permutation_blocks(parse_word("1213423"))
+
+    @pytest.mark.parametrize(
+        "letters, message",
+        [((), "empty word has no permutation blocks"),
+         (tuple("121122"), "block 2 is not a permutation")],
+        ids=["empty", "not-a-permutation"],
+    )
+    def test_blocks_reject(self, letters, message):
+        with pytest.raises(ValueError, match=message):
+            permutation_blocks(Word(letters))
 
 
 def test_thousand_random_uniform_words_mini():
