@@ -23,7 +23,7 @@ def validate_label(label: object) -> str:
         raise ValueError(f"label must be a string, got {type(label).__name__}")
     if not label:
         raise ValueError("empty label")
-    if any(c.isspace() for c in label):
+    if label.split() != [label]:
         raise ValueError(f"label {label!r} contains whitespace")
     if "#" in label:
         raise ValueError(f"label {label!r} contains '#'")
@@ -77,7 +77,7 @@ def _check_size(what: str, value: object, minimum: int | None = None) -> None:
 class Graph:
     """Undirected simple graph over string vertex labels."""
 
-    __slots__ = ("labels", "adj", "_index")
+    __slots__ = ("labels", "adj")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labs = tuple(validate_label(l) for l in labels)
@@ -98,7 +98,6 @@ class Graph:
             adj[j] |= 1 << i
         self.labels = labs
         self.adj = tuple(adj)
-        self._index = index
 
     @property
     def n(self) -> int:
@@ -106,12 +105,12 @@ class Graph:
 
     def index(self, label: str) -> int:
         try:
-            return self._index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise ValueError(f"unknown vertex {label!r}") from None
 
     def has_vertex(self, label: str) -> bool:
-        return label in self._index
+        return label in self.labels
 
     def has_edge(self, a: str, b: str) -> bool:
         return bool(self.adj[self.index(a)] >> self.index(b) & 1)

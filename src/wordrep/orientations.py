@@ -24,8 +24,7 @@ class Orientation:
     __slots__ = ("base", "out")
 
     def __init__(self, base: Graph, arcs: Iterable[tuple[str, str]]):
-        n = base.n
-        out = [0] * n
+        out = [0] * base.n
         for u, v in arcs:
             i, j = base.index(u), base.index(v)
             if not base.adj[i] >> j & 1:
@@ -33,15 +32,20 @@ class Orientation:
             if (out[i] >> j | out[j] >> i) & 1:
                 raise ValueError(f"edge ({u}, {v}) directed more than once")
             out[i] |= 1 << j
-        for i in range(n):
-            undirected = base.adj[i] & ~out[i]
-            for j in iter_bits(undirected):
-                if not out[j] >> i & 1:
-                    raise ValueError(
-                        f"edge ({base.labels[i]}, {base.labels[j]}) left undirected"
-                    )
         self.base = base
-        self.out = tuple(out)
+        self.out = _checked_masks(base, out)
+
+    @classmethod
+    def from_masks(cls, base: Graph, out: Sequence[int]) -> "Orientation":
+        """The orientation with an arc i -> j for every bit j of out[i].
+
+        Raises ValueError unless the masks direct every base edge exactly
+        one way and nothing else.
+        """
+        d = cls.__new__(cls)
+        d.base = base
+        d.out = _checked_masks(base, out)
+        return d
 
     def has_arc(self, u: str, v: str) -> bool:
         return bool(self.out[self.base.index(u)] >> self.base.index(v) & 1)
@@ -70,6 +74,30 @@ class Orientation:
     def __repr__(self) -> str:
         body = ", ".join(f"{u}->{v}" for u, v in self.arcs())
         return f"Orientation({body})"
+
+
+def _checked_masks(base: Graph, out: Sequence[int]) -> tuple[int, ...]:
+    """out as a tuple, once it directs every edge of base exactly one way.
+
+    That holds when every i has out[i] & in[i] == 0 and out[i] | in[i] == adj[i].
+    """
+    n = base.n
+    adj = base.adj
+    labs = base.labels
+    if len(out) != n or any(m < 0 or m >> n for m in out):
+        raise ValueError(f"expected {n} out-masks over {n} vertices")
+    inn = in_masks(out)
+    for i in range(n):
+        if not out[i] & inn[i] and out[i] | inn[i] == adj[i]:
+            continue
+        for bad, msg in (
+            (out[i] & ~adj[i], "({}, {}) is not an edge of the base graph"),
+            (out[i] & inn[i], "edge ({}, {}) directed more than once"),
+            (adj[i] & ~(out[i] | inn[i]), "edge ({}, {}) left undirected"),
+        ):
+            if bad:
+                raise ValueError(msg.format(labs[i], labs[(bad & -bad).bit_length() - 1]))
+    return tuple(out)
 
 
 class ShortcutWitness(NamedTuple):
@@ -242,10 +270,11 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     Vertex orders are enumerated (every acyclic orientation arises from one);
     a prefix dies as soon as the arcs into the newest vertex complete a
     shortcut.  The witness comes from the lexicographically least successful
-    order, by placing candidate vertices in index order.  For n <= 7 a set
-    of dead states skips replayed ones.  A state is one int: the placed set
-    in bits 0..n-1 and, at bit (w + 1) * n, the in-neighbour mask of each
-    placed w, which fixes every arc between placed vertices.
+    order, by placing candidate vertices in index order.  A set of dead
+    states skips replayed ones.  A state is one int: the placed set in bits
+    0..n-1 and, at bit (w + 1) * n, the in-neighbour mask of each placed w,
+    which fixes every arc between placed vertices.  The witness is built
+    from the search's out-neighbour masks.
     """
     return _semi_transitive_search(g)[0]
 
@@ -254,18 +283,11 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     """exists_semi_transitive plus its node count: vertices placed on a prefix."""
     n = g.n
     adj = g.adj
-    labs = g.labels
-    if n == 0:
-        return Orientation(g, []), 0
-
-    use_memo = n <= 7
     dead: set[int] = set()
-
     out = [0] * n
     inn = [0] * n
     placed = 0
     key = 0
-    order: list[int] = []
     nodes = 0
 
     def completes_shortcut(w: int) -> bool:
@@ -281,7 +303,7 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
         nonlocal placed, key, nodes
         if depth == n:
             return True
-        if use_memo and key in dead:
+        if key in dead:
             return False
         for w in range(n):
             if placed >> w & 1:
@@ -295,22 +317,19 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
                 placed ^= 1 << w
                 key ^= step
                 nodes += 1
-                order.append(w)
                 if place(depth + 1):
                     return True
-                order.pop()
                 placed ^= 1 << w
                 key ^= step
             inn[w] = 0
             for u in iter_bits(tails):
                 out[u] &= ~(1 << w)
-        if use_memo:
-            dead.add(key)
+        dead.add(key)
         return False
 
     if not place(0):
         return None, nodes
-    return orient_by_order(g, [labs[i] for i in order]), nodes
+    return Orientation.from_masks(g, out), nodes
 
 
 def _split_arc(line: str) -> tuple[str, str]:

@@ -301,9 +301,7 @@ def find_transitive_orientation(g: Graph) -> Certificate:
         return False
 
     if solve():
-        labs = g.labels
-        arcs = [(labs[a], labs[b]) for a in range(n) for b in iter_bits(out[a])]
-        d = Orientation(g, arcs)
+        d = Orientation.from_masks(g, out)
         if not is_transitive(d):
             raise VerificationError("completed orientation is not transitive")
         return Certificate(query, WITNESS_FOUND, d, nodes, _ms(t0))

@@ -12,6 +12,7 @@ from wordrep import (
     induced_subgraph,
     parse_graph,
 )
+from wordrep.graphs import validate_label
 from oracles import graph_edge_set, random_graph
 
 
@@ -31,6 +32,21 @@ class TestGraphBasics:
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError):
             Graph(["a", "a"], [])
+
+    def test_unknown_vertex_index(self):
+        with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+            build_family("path", 3).index("zz")
+
+    def test_whitespace_labels_rejected_exactly(self):
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert len(spaces) == 29
+        for c in spaces + [chr(c) for c in range(128)]:
+            for label in (c, f"a{c}b"):
+                if c.isspace():
+                    with pytest.raises(ValueError, match="contains whitespace"):
+                        validate_label(label)
+                elif c != "#":
+                    assert validate_label(label) == label
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,24 @@ class TestOrientationBasics:
         g = build_family("path", 3)
         with pytest.raises(ValueError):
             Orientation(g, [("1", "2"), ("1", "3")])
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ([0b110, 0b100, 0b000], "(1, 3) is not an edge of the base graph"),
+            ([0b010, 0b000, 0b000], "edge (2, 3) left undirected"),
+            ([0b010, 0b100, 0b010], "edge (2, 3) directed more than once"),
+        ],
+    )
+    def test_from_masks_rejects(self, out, message):
+        g = build_family("path", 3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Orientation.from_masks(g, out)
+
+    def test_from_masks_matches_arcs(self):
+        g = build_family("path", 3)
+        d = Orientation.from_masks(g, [0b000, 0b101, 0b000])
+        assert d == Orientation(g, [("2", "1"), ("2", "3")])
 
     def test_arcs_ordered(self):
         g = build_family("path", 3)
@@ -178,7 +197,7 @@ class TestExistsSemiTransitive:
 
 class TestSemiTransitiveSearch:
     # (family, size) -> (arcs of the orientation found, nodes placed); the
-    # dead-state memo acts on Pr3 and C7 (n <= 7) and not on the others
+    # dead-state memo acts at every n, so it cuts Pr4 and the Petersen graph
     @pytest.mark.parametrize(
         "family, size, arcs, nodes",
         [
@@ -187,7 +206,7 @@ class TestSemiTransitiveSearch:
             (
                 "prism", 4,
                 "1>2 1>4 1>1' 2>3 2>2' 3>3' 4>3 4>4' 1'>2' 1'>4' 2'>3' 4'>3'",
-                38,
+                35,
             ),
             (
                 "crown", 4,
@@ -197,7 +216,7 @@ class TestSemiTransitiveSearch:
             (
                 "petersen", 10,
                 "1>2 1>5 1>6 2>3 2>7 3>4 3>8 4>9 5>4 5>10 6>8 6>9 7>9 7>10 8>10",
-                136,
+                84,
             ),
         ],
     )
@@ -214,6 +233,28 @@ class TestSemiTransitiveSearch:
         if pendant:
             g = Graph(g.labels + ("p",), g.edges() + [("a", "p")])
         assert _semi_transitive_search(g) == (None, nodes)
+
+    def test_golden_memo_exhaustion_nine_vertices(self):
+        # W5 plus three isolated vertices: the memo is on at n >= 8 too
+        w5 = add_apex(build_family("cycle", 5), "a")
+        g = Graph(w5.labels + ("x", "y", "z"), w5.edges())
+        assert _semi_transitive_search(g) == (None, 8152)
+
+    def test_seven_vertex_census(self):
+        # 853 connected seven-vertex graphs (OEIS A001349), 25 of them not
+        # word-representable (Akgun, Gent, Kitaev and Zantema, J. Integer
+        # Seq. 2019)
+        nx = pytest.importorskip("networkx")
+        atlas = [
+            a for a in nx.graph_atlas_g()
+            if a.number_of_nodes() == 7 and nx.is_connected(a)
+        ]
+        graphs = [
+            Graph(map(str, a.nodes), [(str(u), str(v)) for u, v in a.edges])
+            for a in atlas
+        ]
+        assert len(graphs) == 853
+        assert sum(exists_semi_transitive(g) is None for g in graphs) == 25
 
     def test_golden_seven_vertex_sample(self):
         rng = random.Random(77)
