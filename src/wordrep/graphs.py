@@ -66,6 +66,28 @@ def in_masks(out: Sequence[int]) -> list[int]:
     return inn
 
 
+def topological_order(inn: Sequence[int]) -> list[int]:
+    """The vertices in the order that always takes the least ready index first.
+
+    inn[x] is the bitmask of x's in-neighbours, and x is ready once all of
+    them are placed.  On a directed cycle the order stops early: every
+    vertex it leaves out has an in-neighbour that is also left out.
+    """
+    out = in_masks(inn)
+    waiting = [m.bit_count() for m in inn]
+    ready = sum(1 << x for x, w in enumerate(waiting) if not w)
+    order = []
+    while ready:
+        low = ready & -ready
+        ready ^= low
+        order.append(x := low.bit_length() - 1)
+        for y in iter_bits(out[x]):
+            waiting[y] -= 1
+            if not waiting[y]:
+                ready |= 1 << y
+    return order
+
+
 def _check_size(what: str, value: object, minimum: int | None = None) -> None:
     # bool is an int subclass, and a float size fails later inside range()
     if isinstance(value, bool) or not isinstance(value, int):
@@ -288,6 +310,18 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0, 0)
 
 
+def _greedy_clique_size(g: Graph) -> int:
+    """Size of a clique grown greedily by common-neighbourhood degree."""
+    adj = g.adj
+    cand = (1 << g.n) - 1
+    size = 0
+    while cand:
+        v = max(iter_bits(cand), key=lambda i: ((adj[i] & cand).bit_count(), -i))
+        size += 1
+        cand &= adj[v]
+    return size
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by branch and bound.
 
@@ -296,17 +330,9 @@ def chromatic_number(g: Graph) -> int:
     Practical for graphs of up to ~12 vertices.
     """
     n = g.n
-    if n == 0:
-        return 0
-    if g.edge_count == 0:
-        return 1
     adj = g.adj
     order = sorted(range(n), key=lambda i: -adj[i].bit_count())
-    clique_mask = 0
-    for v in order:
-        if adj[v] & clique_mask == clique_mask:
-            clique_mask |= 1 << v
-    lower = clique_mask.bit_count()
+    lower = _greedy_clique_size(g)
 
     color = [-1] * n
 

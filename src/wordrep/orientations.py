@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, _read_pairs, in_masks, iter_bits, reach
+from .graphs import Graph, _read_pairs, in_masks, iter_bits, reach, topological_order
 
 
 class Orientation:
@@ -128,31 +128,25 @@ def is_shortcut_witness(d: Orientation, w: ShortcutWitness) -> bool:
 
 
 def directed_cycle(d: Orientation) -> tuple[str, ...] | None:
-    """A directed cycle as a label sequence with first == last, or None."""
-    n = d.base.n
-    color = [0] * n  # 0 unseen, 1 on the current path, 2 finished
-    path: list[int] = []
+    """A directed cycle as a label sequence with first == last, or None.
 
-    def visit(i: int) -> list[int] | None:
-        color[i] = 1
-        path.append(i)
-        for j in iter_bits(d.out[i]):
-            if color[j] == 1:
-                return path[path.index(j) :] + [j]
-            if color[j] == 0:
-                found = visit(j)
-                if found is not None:
-                    return found
-        color[i] = 2
-        path.pop()
+    From the least vertex that the topological order leaves out, a walk goes
+    back to the least left-out in-neighbour until a vertex repeats; the cycle
+    through that vertex is returned in arc order, from it back to it.
+    """
+    inn = in_masks(d.out)
+    left = (1 << d.base.n) - 1 - sum(1 << x for x in topological_order(inn))
+    if not left:
         return None
-
-    for s in range(n):
-        if color[s] == 0:
-            found = visit(s)
-            if found is not None:
-                return tuple(d.base.labels[i] for i in found)
-    return None
+    walk: list[int] = []
+    seen: dict[int, int] = {}
+    x = (left & -left).bit_length() - 1
+    while x not in seen:
+        seen[x] = len(walk)
+        walk.append(x)
+        back = inn[x] & left
+        x = (back & -back).bit_length() - 1
+    return tuple(d.base.labels[i] for i in reversed(walk[seen[x] :] + [x]))
 
 
 def is_acyclic(d: Orientation) -> bool:
@@ -201,26 +195,27 @@ def _shortcut_path(
     """
     if inside.bit_count() < 2 or _is_clique(adj, inside | 1 << u | 1 << v):
         return None
+    allowed = inside | 1 << v
     path = [u]
     on_path = 1 << u
-
-    def walk(x: int) -> list[int] | None:
-        nonlocal on_path
-        for y in iter_bits(out[x] & (inside | 1 << v) & ~on_path):
-            if y == v:
-                if len(path) >= 3 and not _is_clique(adj, on_path | 1 << v):
-                    return path + [v]
-            else:
-                path.append(y)
-                on_path |= 1 << y
-                hit = walk(y)
-                path.pop()
-                on_path &= ~(1 << y)
-                if hit is not None:
-                    return hit
-        return None
-
-    return walk(u)
+    untried = [out[u] & allowed & ~on_path]  # per path vertex, fixed on entry
+    while untried:
+        todo = untried[-1]
+        if not todo:
+            untried.pop()
+            on_path ^= 1 << path.pop()
+            continue
+        low = todo & -todo
+        untried[-1] = todo ^ low
+        y = low.bit_length() - 1
+        if y == v:
+            if len(path) >= 3 and not _is_clique(adj, on_path | low):
+                return path + [v]
+        else:
+            path.append(y)
+            on_path |= low
+            untried.append(out[y] & allowed & ~on_path)
+    return None
 
 
 def find_shortcut(d: Orientation) -> ShortcutWitness | None:
@@ -228,25 +223,29 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
 
     Cyclic input is rejected, quoting a directed cycle.  Arcs are scanned in
     index order and each candidate arc u->v is checked by DFS over the simple
-    directed u-v paths inside the arc's interval; the first path carrying a
-    non-adjacent vertex pair is returned.
+    directed u-v paths inside its interval, built along the topological
+    order; the first path carrying a non-adjacent vertex pair is returned.
     """
-    cyc = directed_cycle(d)
-    if cyc is not None:
-        raise ValueError("orientation is cyclic: " + " -> ".join(cyc))
     n = d.base.n
     adj = d.base.adj
     out = d.out
     labs = d.base.labels
-
-    full = (1 << n) - 1
     inn = in_masks(out)
-    anc = [reach(inn, v, full) for v in range(n)]
+    order = topological_order(inn)
+    if len(order) < n:
+        raise ValueError("orientation is cyclic: " + " -> ".join(directed_cycle(d)))
+    anc = [0] * n
+    desc = [0] * n
+    for v in order:
+        for u in iter_bits(inn[v]):
+            anc[v] |= anc[u] | 1 << u
+    for u in reversed(order):
+        for v in iter_bits(out[u]):
+            desc[u] |= desc[v] | 1 << v
 
     for u in range(n):
-        desc = reach(out, u, full)
         for v in iter_bits(out[u]):
-            path = _shortcut_path(adj, out, u, v, desc & anc[v])
+            path = _shortcut_path(adj, out, u, v, desc[u] & anc[v])
             if path is not None:
                 a, b = next(
                     (x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1

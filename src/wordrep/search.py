@@ -12,7 +12,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, in_masks, iter_bits
+from .graphs import Graph, _greedy_clique_size, in_masks, iter_bits, topological_order
 from .words import LinearOrderFamily, Word, represents
 
 if TYPE_CHECKING:
@@ -90,14 +90,7 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     labs = g.labels
     total = n * k
     query = f"k-uniform-representant n={n} m={g.edge_count} k={k}"
-
-    if n == 0:
-        w = Word(())
-        if not represents(w, g):
-            raise VerificationError("empty word failed verification")
-        return Certificate(query, WITNESS_FOUND, w, 0, _ms(t0))
-
-    start = max(range(n), key=lambda i: (adj[i].bit_count(), -i))
+    start = max(range(n), key=lambda i: (adj[i].bit_count(), -i), default=0)
     full = (1 << n) - 1
     live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
     rem = [k] * n
@@ -157,18 +150,6 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
             raise VerificationError("completed word failed verification")
         return Certificate(query, WITNESS_FOUND, w, nodes, _ms(t0))
     return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
-
-
-def _greedy_clique_size(g: Graph) -> int:
-    """Size of a clique grown greedily by common-neighbourhood degree."""
-    adj = g.adj
-    cand = (1 << g.n) - 1
-    size = 0
-    while cand:
-        v = max(iter_bits(cand), key=lambda i: ((adj[i] & cand).bit_count(), -i))
-        size += 1
-        cand &= adj[v]
-    return size
 
 
 def _orientation_certificate(g: Graph) -> Certificate:
@@ -328,8 +309,6 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
         raise ValueError("orientation is not transitive")
     n = d.base.n
     labs = d.base.labels
-    if n == 0:
-        return 1, LinearOrderFamily(((),))
     out = d.out
     inn = in_masks(out)
     critical = [
@@ -362,15 +341,7 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     t = 1
     while (classes := split(0, [], t)) is None:
         t += 1
-    orders = []
-    for below in classes or [inn]:
-        order: list[int] = []
-        placed = 0
-        while len(order) < n:
-            v = next(v for v in range(n) if not (placed >> v & 1 or below[v] & ~placed))
-            order.append(v)
-            placed |= 1 << v
-        orders.append(order)
+    orders = [topological_order(below) for below in classes or [inn]]
     positions = [[e.index(v) for v in range(n)] for e in orders]
     for i in range(n):
         for j in range(n):

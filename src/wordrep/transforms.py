@@ -131,11 +131,11 @@ def add_leaf(w: Word, x: str, y: str) -> Word:
     return _verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
 
 
-def equalize_uniformity(w1: Word, w2: Word, minimum: int = 2) -> tuple[Word, Word]:
-    """Lift both uniform words to the same k = max(k1, k2, minimum)."""
+def equalize_uniformity(w1: Word, w2: Word) -> tuple[Word, Word]:
+    """Lift both uniform words to the same k = max(k1, k2, 2)."""
     k1 = _require_uniform(w1, 1, "first word")
     k2 = _require_uniform(w2, 1, "second word")
-    k = max(k1, k2, minimum)
+    k = max(k1, k2, 2)
     for _ in range(k - k1):
         w1 = extend_uniform(w1)
     for _ in range(k - k2):

@@ -84,6 +84,20 @@ def naive_has_shortcut(d: Orientation) -> bool:
     return False
 
 
+def naive_is_acyclic(labels, arcs) -> bool:
+    """No vertex reaches itself: grow every reach set until none grows."""
+    reach = {v: {b for a, b in arcs if a == v} for v in labels}
+    grown = True
+    while grown:
+        grown = False
+        for v in labels:
+            more = set().union(*(reach[w] for w in reach[v])) - reach[v]
+            if more:
+                reach[v] |= more
+                grown = True
+    return all(v not in reach[v] for v in labels)
+
+
 def naive_transitive_orientation_exists(g: Graph) -> bool:
     """Try all 2^m directions of the edges; u->v and v->w must give u->w."""
     edges = g.edges()

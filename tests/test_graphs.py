@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,7 @@ from wordrep import (
     induced_subgraph,
     parse_graph,
 )
-from wordrep.graphs import validate_label
+from wordrep.graphs import topological_order, validate_label
 from oracles import graph_edge_set, random_graph
 
 
@@ -177,6 +179,28 @@ class TestIsomorphism:
         assert are_isomorphic(g, h)
 
 
+class TestTopologicalOrder:
+    def test_least_ready_index_first(self):
+        # on a cycle the order stops once no vertex is ready
+        rng = random.Random(16)
+        complete = 0
+        for _ in range(500):
+            n = rng.randint(0, 9)
+            inn = [
+                sum(1 << j for j in range(n) if j != i and rng.random() < 0.2)
+                for i in range(n)
+            ]
+            placed = 0
+            for x in topological_order(inn):
+                ready = (v for v in range(n) if not (placed >> v & 1 or inn[v] & ~placed))
+                assert x == next(ready)
+                placed |= 1 << x
+            left = [v for v in range(n) if not placed >> v & 1]
+            assert all(inn[v] & ~placed for v in left)
+            complete += not left
+        assert 100 < complete < 400
+
+
 class TestChromaticNumber:
     @pytest.mark.parametrize(
         "graph,chi",
@@ -189,6 +213,8 @@ class TestChromaticNumber:
             (build_family("prism", 3), 3),
             (add_apex(build_family("cycle", 5), "a"), 4),
             (Graph(["1"], []), 1),
+            (Graph(["1", "2", "3"], []), 1),
+            (Graph([], []), 0),
         ],
     )
     def test_known_values(self, graph, chi):

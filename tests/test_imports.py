@@ -172,6 +172,31 @@ def test_no_module_level_accumulator():
     assert found == []
 
 
+# The exponential search kernels, the only functions in src/wordrep that
+# call themselves; a polynomial check walks with an explicit stack instead,
+# so its depth is not bounded by the recursion limit.
+RECURSIVE_KERNELS = [
+    ("graphs.py", "colorable"),  # chromatic_number
+    ("graphs.py", "extend"),  # are_isomorphic
+    ("orientations.py", "place"),  # exists_semi_transitive
+    ("search.py", "extend"),  # find_k_uniform_representant
+    ("search.py", "set_arc"),  # find_transitive_orientation
+    ("search.py", "solve"),  # find_transitive_orientation
+    ("search.py", "split"),  # poset_dimension
+]
+
+
+def test_only_search_kernels_recurse():
+    found = []
+    for path in sorted(Path(SRC, "wordrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
+                if any(isinstance(f, ast.Name) and f.id == node.name for f in calls):
+                    found.append((path.name, node.name))
+    assert sorted(found) == RECURSIVE_KERNELS
+
+
 def test_all_keeps_the_public_names():
     assert sorted(wordrep.__all__) == sorted(PUBLIC_NAMES)
     assert set(PUBLIC_NAMES) <= set(dir(wordrep))

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from wordrep import (
 )
 from wordrep.orientations import _semi_transitive_search
 from wordrep.search import WITNESS_FOUND
-from oracles import naive_has_shortcut, random_graph
+from oracles import naive_has_shortcut, naive_is_acyclic, random_graph
 
 
 @st.composite
@@ -74,6 +76,17 @@ class TestOrientationBasics:
         assert d.arcs() == [("2", "1"), ("2", "3")]
         assert d.has_arc("2", "1") and not d.has_arc("1", "2")
 
+    def test_value_semantics(self):
+        g = build_family("path", 3)
+        d = Orientation(g, [("2", "1"), ("2", "3")])
+        same = Orientation(Graph(["3", "2", "1"], g.edges()), [("2", "3"), ("2", "1")])
+        other = Orientation(g, [("1", "2"), ("2", "3")])
+        assert d == same and hash(d) == hash(same)
+        assert d != other and d != Orientation(build_family("path", 2), [("2", "1")])
+        assert d.__eq__(g) is NotImplemented
+        assert repr(d) == "Orientation(2->1, 2->3)"
+        assert d.arc_count() == 2 and Orientation(Graph([]), []).arc_count() == 0
+
 
 class TestAcyclicity:
     def test_cycle_detected(self):
@@ -81,12 +94,46 @@ class TestAcyclicity:
         d = Orientation(g, [("1", "2"), ("2", "3"), ("3", "1")])
         cyc = directed_cycle(d)
         assert cyc is not None and cyc[0] == cyc[-1]
-        assert not is_acyclic(d)
+        assert not is_acyclic(d) and not is_semi_transitive(d)
 
     def test_order_orientations_acyclic(self):
         g = build_family("cycle", 5)
         d = orient_by_order(g, ["3", "1", "4", "2", "5"])
         assert is_acyclic(d)
+
+    def test_long_path_and_cycle(self):
+        # deeper than the recursion limit: every check walks without recursion
+        n = sys.getrecursionlimit() + 100
+        labs = [str(i) for i in range(n)]
+        path = list(zip(labs, labs[1:]))
+        d = orient_by_order(Graph(labs, path), labs)
+        assert is_acyclic(d) and directed_cycle(d) is None
+        assert find_shortcut(d) is None and is_semi_transitive(d)
+        arcs = path + [(labs[-1], labs[0])]
+        d = Orientation(Graph(labs, arcs), arcs)
+        assert not is_acyclic(d) and not is_semi_transitive(d)
+        assert directed_cycle(d) == (*labs, "0")
+        with pytest.raises(ValueError, match="cyclic"):
+            find_shortcut(d)
+
+    def test_directed_cycle_matches_oracle(self):
+        rng = random.Random(16)
+        cyclic = 0
+        for trial in range(3000):
+            labs = [str(i) for i in range(rng.randint(2, 10))]
+            edges = [e for e in combinations(labs, 2) if rng.random() < 0.5]
+            if trial % 2:
+                rank = {t: rng.random() for t in labs}
+                arcs = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in edges]
+            else:
+                arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in edges]
+            cyc = directed_cycle(Orientation(Graph(labs, edges), arcs))
+            assert (cyc is None) == naive_is_acyclic(labs, arcs), arcs
+            if cyc is not None:
+                cyclic += 1
+                assert cyc[0] == cyc[-1] and len(set(cyc[1:])) == len(cyc) - 1 >= 3
+                assert set(zip(cyc, cyc[1:])) <= set(arcs)
+        assert 600 < cyclic < 1500
 
 
 class TestTransitivity:

@@ -12,6 +12,7 @@ from wordrep import (
     WITNESS_FOUND,
     Graph,
     LinearOrderFamily,
+    Orientation,
     VerificationError,
     Word,
     add_apex,
@@ -358,6 +359,10 @@ class TestPosetDimension:
         d = orient_by_order(g, list(g.labels))
         dim, fam = poset_dimension(d)
         assert dim == 1 and len(fam.orders) == 1
+
+    def test_empty_is_one(self):
+        d = Orientation(Graph([]), [])
+        assert poset_dimension(d) == (1, LinearOrderFamily(((),)))
 
     def test_antichain_is_two(self):
         g = Graph(["1", "2", "3"], [])
