@@ -282,11 +282,9 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     deg2 = [m.bit_count() for m in g2.adj]
     if sorted(deg1) != sorted(deg2):
         return False
-    if n == 0:
-        return True
     # map vertices in descending-degree order; high-degree first fails fastest
     order = sorted(range(n), key=lambda i: -deg1[i])
-    image = [-1] * n
+    image = [-1] * n  # image[p] is read only once p is mapped on this branch
 
     def extend(pos: int, used: int) -> bool:
         if pos == n:
@@ -295,16 +293,12 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         for w in range(n):
             if used >> w & 1 or deg2[w] != deg1[v]:
                 continue
-            ok = True
-            for prev in order[:pos]:
-                if (g1.adj[v] >> prev & 1) != (g2.adj[w] >> image[prev] & 1):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                (g1.adj[v] >> p & 1) == (g2.adj[w] >> image[p] & 1) for p in order[:pos]
+            ):
                 image[v] = w
                 if extend(pos + 1, used | 1 << w):
                     return True
-                image[v] = -1
         return False
 
     return extend(0, 0)
@@ -334,26 +328,21 @@ def chromatic_number(g: Graph) -> int:
     order = sorted(range(n), key=lambda i: -adj[i].bit_count())
     lower = _greedy_clique_size(g)
 
-    color = [-1] * n
-
-    def colorable(pos: int, used: int, limit: int) -> bool:
+    def colorable(pos: int, classes: list[int], limit: int) -> bool:
+        # classes[c]: the vertices of colour c; at most one new class per step,
+        # which kills colour permutations
         if pos == n:
             return True
         v = order[pos]
-        # allow at most one brand-new colour per step; kills colour permutations
-        top = min(used + 1, limit)
-        for c in range(top):
-            if all(color[u] != c for u in iter_bits(adj[v])):
-                color[v] = c
-                if colorable(pos + 1, max(used, c + 1), limit):
+        for c, members in enumerate(classes + [0] if len(classes) < limit else classes):
+            if not members & adj[v]:
+                grown = classes[:c] + [members | 1 << v] + classes[c + 1 :]
+                if colorable(pos + 1, grown, limit):
                     return True
-                color[v] = -1
         return False
 
     for c in range(lower, n):
-        for i in range(n):
-            color[i] = -1
-        if colorable(0, 0, c):
+        if colorable(0, [], c):
             return c
     return n
 

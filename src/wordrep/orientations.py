@@ -258,9 +258,10 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
 
 def is_semi_transitive(d: Orientation) -> bool:
     """True when the orientation is acyclic and has no shortcut."""
-    if not is_acyclic(d):
+    try:
+        return find_shortcut(d) is None
+    except ValueError:  # the only one find_shortcut raises: d is cyclic
         return False
-    return find_shortcut(d) is None
 
 
 def exists_semi_transitive(g: Graph) -> Orientation | None:
@@ -272,8 +273,10 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     order, by placing candidate vertices in index order.  A set of dead
     states skips replayed ones.  A state is one int: the placed set in bits
     0..n-1 and, at bit (w + 1) * n, the in-neighbour mask of each placed w,
-    which fixes every arc between placed vertices.  The witness is built
-    from the search's out-neighbour masks.
+    which fixes every arc between placed vertices.  A node's state is the
+    arguments of its call: the placed set, the key and the out- and
+    in-neighbour masks, which a child gets as copies, so nothing is undone on
+    return.  The witness is built from the out-neighbour masks of the leaf.
     """
     return _semi_transitive_search(g)[0]
 
@@ -282,14 +285,11 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     """exists_semi_transitive plus its node count: vertices placed on a prefix."""
     n = g.n
     adj = g.adj
+    full = (1 << n) - 1
     dead: set[int] = set()
-    out = [0] * n
-    inn = [0] * n
-    placed = 0
-    key = 0
     nodes = 0
 
-    def completes_shortcut(w: int) -> bool:
+    def completes_shortcut(w: int, placed: int, out: list[int], inn: list[int]) -> bool:
         # arcs into w were just added; any new shortcut must end at w
         anc_w = reach(inn, w, placed)
         for u in iter_bits(adj[w] & placed):
@@ -298,35 +298,30 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
                 return True
         return False
 
-    def place(depth: int) -> bool:
-        nonlocal placed, key, nodes
-        if depth == n:
-            return True
+    def place(placed: int, key: int, out: list[int], inn: list[int]) -> list[int] | None:
+        nonlocal nodes
+        if placed == full:
+            return out
         if key in dead:
-            return False
-        for w in range(n):
-            if placed >> w & 1:
-                continue
+            return None
+        for w in iter_bits(full & ~placed):
             tails = adj[w] & placed
+            kid_out = out.copy()
             for u in iter_bits(tails):
-                out[u] |= 1 << w
-            inn[w] = tails
-            if not completes_shortcut(w):
-                step = 1 << w | tails << (w + 1) * n
-                placed ^= 1 << w
-                key ^= step
+                kid_out[u] |= 1 << w
+            kid_inn = inn.copy()
+            kid_inn[w] = tails
+            if not completes_shortcut(w, placed, kid_out, kid_inn):
                 nodes += 1
-                if place(depth + 1):
-                    return True
-                placed ^= 1 << w
-                key ^= step
-            inn[w] = 0
-            for u in iter_bits(tails):
-                out[u] &= ~(1 << w)
+                step = 1 << w | tails << (w + 1) * n
+                found = place(placed | 1 << w, key | step, kid_out, kid_inn)
+                if found is not None:
+                    return found
         dead.add(key)
-        return False
+        return None
 
-    if not place(0):
+    out = place(0, 0, [0] * n, [0] * n)
+    if out is None:
         return None, nodes
     return Orientation.from_masks(g, out), nodes
 

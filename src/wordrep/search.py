@@ -77,11 +77,14 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     non-edge not repeated by this copy has at most one copy left (it could
     never repeat).  A neighbour d never has two copies left then: the
     subsequence on {c, d} alternates and ends in d, so d has placed k - 1 or
-    k copies.  Two symmetry reductions, both sound for exhaustion: (a) the
-    word starts with a fixed maximum-degree vertex, justified by rotating any
-    representant to such a start; (b) of a word and its rotated reverse
-    (which share that first letter) only the one whose second letter does not
-    exceed its last letter is enumerated.
+    k copies.  A node's state is the arguments of its call: since, live, rem
+    (the copies left per letter), two and avail.  A child gets copies of the
+    lists it changes, so nothing is undone on return; only the word placed
+    so far is shared along the path.  Two symmetry reductions, both sound
+    for exhaustion: (a) the word starts with a fixed maximum-degree vertex,
+    justified by rotating any representant to such a start; (b) of a word
+    and its rotated reverse (which share that first letter) only the one
+    whose second letter does not exceed its last letter is enumerated.
     """
     _check_positive("k", k)
     t0 = time.perf_counter()
@@ -92,15 +95,13 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     query = f"k-uniform-representant n={n} m={g.edge_count} k={k}"
     start = max(range(n), key=lambda i: (adj[i].bit_count(), -i), default=0)
     full = (1 << n) - 1
-    live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
-    rem = [k] * n
-    two = full if k >= 2 else 0  # letters with >= 2 copies left
-    avail = full  # letters with >= 1 copy left
     word_idx: list[int] = []
     nodes = 0
 
-    def extend(pos: int, since: list[int]) -> bool:
-        nonlocal nodes, two, avail
+    def extend(
+        pos: int, since: list[int], live: list[int], rem: list[int], two: int, avail: int
+    ) -> bool:
+        nonlocal nodes
         if pos == total:
             return True
         cands = 1 << start if pos == 0 else avail
@@ -117,34 +118,26 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
             if final and live[c] & ~ends & ~two:
                 continue
             died = live[c] & ends
+            kid_live = live
             if died:
-                live[c] ^= died
+                kid_live = live.copy()
+                kid_live[c] ^= died
                 for d in iter_bits(died):
-                    live[d] ^= bc
-            rem[c] -= 1
-            if final:
-                avail ^= bc
-            elif rem[c] == 1:
-                two ^= bc
+                    kid_live[d] ^= bc
+            kid_rem = rem.copy()
+            kid_rem[c] -= 1
             nodes += 1
             word_idx.append(c)
             after = [s | bc for s in since]
             after[c] = 0
-            if extend(pos + 1, after):
+            kid_two = two & ~bc if kid_rem[c] < 2 else two
+            if extend(pos + 1, after, kid_live, kid_rem, kid_two, avail & ~bc if final else avail):
                 return True
             word_idx.pop()
-            rem[c] += 1
-            if final:
-                avail ^= bc
-            elif rem[c] == 2:
-                two ^= bc
-            if died:
-                live[c] ^= died
-                for d in iter_bits(died):
-                    live[d] ^= bc
         return False
 
-    if extend(0, [full] * n):
+    live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
+    if extend(0, [full] * n, live, [k] * n, full if k >= 2 else 0, full):
         w = Word(labs[c] for c in word_idx)
         if not represents(w, g):
             raise VerificationError("completed word failed verification")
@@ -237,7 +230,9 @@ def find_transitive_orientation(g: Graph) -> Certificate:
     propagation: setting a->b forces x->b for every x->a and a->y for every
     b->y, failing when a forced pair is non-adjacent or already directed the
     other way.  The partial orientation is its out- and in-neighbour masks;
-    an edge is open while neither mask directs it.
+    an edge is open while neither mask directs it.  They are the arguments
+    of a node's call, and each direction propagates into its own copies, so
+    nothing is undone on return.
     """
     from .orientations import Orientation, is_transitive
 
@@ -246,42 +241,39 @@ def find_transitive_orientation(g: Graph) -> Certificate:
     adj = g.adj
     query = f"transitive-orientation n={n} m={g.edge_count}"
     edges = [(i, j) for i in range(n) for j in iter_bits(adj[i]) if i < j]
-    out = [0] * n
-    inn = [0] * n
     nodes = 0
 
-    def set_arc(a: int, b: int, changed: list[tuple[int, int]]) -> bool:
+    def set_arc(out: list[int], inn: list[int], a: int, b: int) -> bool:
         if (out[a] | inn[a]) >> b & 1:
             return bool(out[a] >> b & 1)
         out[a] |= 1 << b
         inn[b] |= 1 << a
-        changed.append((a, b))
         for x in iter_bits(inn[a]):
-            if not adj[x] >> b & 1 or not set_arc(x, b, changed):
+            if not adj[x] >> b & 1 or not set_arc(out, inn, x, b):
                 return False
         for y in iter_bits(out[b]):
-            if not adj[a] >> y & 1 or not set_arc(a, y, changed):
+            if not adj[a] >> y & 1 or not set_arc(out, inn, a, y):
                 return False
         return True
 
-    def solve() -> bool:
+    def solve(out: list[int], inn: list[int]) -> list[int] | None:
         nonlocal nodes
         for i, j in edges:
             if not (out[i] >> j | out[j] >> i) & 1:
                 break
         else:
-            return True
+            return out
         for a, b in ((i, j), (j, i)):
-            changed: list[tuple[int, int]] = []
+            kid_out, kid_inn = out.copy(), inn.copy()
             nodes += 1
-            if set_arc(a, b, changed) and solve():
-                return True
-            for x, y in changed:
-                out[x] &= ~(1 << y)
-                inn[y] &= ~(1 << x)
-        return False
+            if set_arc(kid_out, kid_inn, a, b):
+                found = solve(kid_out, kid_inn)
+                if found is not None:
+                    return found
+        return None
 
-    if solve():
+    out = solve([0] * n, [0] * n)
+    if out is not None:
         d = Orientation.from_masks(g, out)
         if not is_transitive(d):
             raise VerificationError("completed orientation is not transitive")

@@ -98,6 +98,16 @@ def naive_is_acyclic(labels, arcs) -> bool:
     return all(v not in reach[v] for v in labels)
 
 
+def naive_chromatic_number(labels, edges) -> int:
+    """The least c for which some map of the vertices to c colours is proper."""
+    for c in range(len(labels) + 1):
+        for colours in product(range(c), repeat=len(labels)):
+            colour = dict(zip(labels, colours))
+            if all(colour[a] != colour[b] for a, b in edges):
+                return c
+    raise AssertionError("n colours always suffice")
+
+
 def naive_transitive_orientation_exists(g: Graph) -> bool:
     """Try all 2^m directions of the edges; u->v and v->w must give u->w."""
     edges = g.edges()

@@ -84,6 +84,14 @@ class TestBuild:
         assert code == 0 and out == ""
         assert parse_graph(target.read_text()) == build_family("cycle", 5)
 
+    def test_double_dash_ends_options(self, capsys):
+        code, out, _ = run(capsys, "build", "--", "cycle", "3")
+        assert code == 0
+        assert parse_graph(out) == build_family("cycle", 3)
+        # after `--` a token is a positional value, never an unknown option
+        code, _, err = run(capsys, "build", "--", "--x", "3")
+        assert code == 2 and "invalid choice: '--x'" in err
+
     def test_bad_size_is_usage_error(self, capsys):
         code, _, err = run(capsys, "build", "cycle", "2")
         assert code == 2 and "error" in err

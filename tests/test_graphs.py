@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,20 @@ from wordrep import (
     parse_graph,
 )
 from wordrep.graphs import topological_order, validate_label
-from oracles import graph_edge_set, random_graph
+from oracles import (
+    graph_edge_set,
+    naive_chromatic_number,
+    naive_isomorphic,
+    random_graph,
+)
+
+
+def every_graph(n):
+    """All 2^C(n, 2) labelled graphs on the vertices 1..n."""
+    labs = [str(i) for i in range(1, n + 1)]
+    pairs = list(combinations(labs, 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(labs, [p for b, p in enumerate(pairs) if mask >> b & 1])
 
 
 class TestGraphBasics:
@@ -62,6 +77,7 @@ class TestGraphBasics:
         g1 = Graph(["a", "b"], [("a", "b")])
         g2 = Graph(["b", "a"], [("b", "a")])
         assert g1 == g2 and hash(g1) == hash(g2)
+        assert g1.__eq__(1) is NotImplemented and (g1 == 1) is False
 
     def test_neighbors_and_degree(self):
         g = build_family("path", 3)
@@ -145,6 +161,8 @@ class TestBuilders:
     def test_induced_subgraph(self):
         g = induced_subgraph(build_family("cycle", 5), ["1", "2", "4"])
         assert graph_edge_set(g) == {frozenset(("1", "2"))}
+        with pytest.raises(ValueError, match="unknown vertex 'z'"):
+            induced_subgraph(build_family("cycle", 5), ["1", "z"])
 
 
 class TestIsomorphism:
@@ -169,6 +187,46 @@ class TestIsomorphism:
 
     def test_petersen_not_prism5(self, petersen):
         assert not are_isomorphic(petersen, build_family("prism", 5))
+
+    def test_degree_sequences_decide_before_search(self):
+        # P4, the star K1,3 and a triangle plus a vertex: 4 vertices and 3
+        # edges each, different degree sequences
+        star = Graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
+        triangle = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")])
+        path = build_family("path", 4)
+        assert not are_isomorphic(path, star) and not are_isomorphic(path, triangle)
+
+        class Unread(list):  # iterable, but any lookup by index fails
+            def __getitem__(self, i):
+                raise AssertionError("the search ran")
+
+        def degrees_only(g):
+            return SimpleNamespace(n=g.n, edge_count=g.edge_count, adj=Unread(g.adj))
+
+        assert not are_isomorphic(degrees_only(path), degrees_only(triangle))
+
+    def test_empty_graphs(self):
+        assert are_isomorphic(Graph([]), Graph([]))
+        assert not are_isomorphic(Graph([]), Graph(["a"]))
+
+    def test_matches_naive_oracle(self):
+        # a relabelled copy; in every other case one edge of it moves to a
+        # non-adjacent pair, which keeps the edge count
+        rng = random.Random(17)
+        same = 0
+        for i in range(500):
+            g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.8))
+            ren = dict(zip(g.labels, rng.sample(g.labels, g.n)))
+            edges = {frozenset((ren[a], ren[b])) for a, b in g.edges()}
+            pairs = {frozenset(p) for p in combinations(g.labels, 2)}
+            if i % 2 and edges and pairs - edges:
+                gone = rng.choice(sorted(edges, key=sorted))
+                edges = edges - {gone} | {rng.choice(sorted(pairs - edges, key=sorted))}
+            h = Graph(g.labels, [tuple(e) for e in edges])
+            got = are_isomorphic(g, h)
+            assert got == naive_isomorphic(g, h), (g.edges(), h.edges())
+            same += got
+        assert same == 383  # 250 copies and 133 moved copies
 
     @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
     def test_random_relabel_is_isomorphic(self, n, rng):
@@ -222,6 +280,15 @@ class TestChromaticNumber:
 
     def test_petersen(self, petersen):
         assert chromatic_number(petersen) == 3
+
+    def test_matches_naive_oracle(self):
+        # every labelled graph on at most 5 vertices, then 200 seeded 6-vertex ones
+        graphs = [g for n in range(6) for g in every_graph(n)]
+        rng = random.Random(18)
+        graphs += [random_graph(rng, 6, rng.random()) for _ in range(200)]
+        assert len(graphs) == 1300
+        for g in graphs:
+            assert chromatic_number(g) == naive_chromatic_number(g.labels, g.edges()), g.edges()
 
 
 class TestGraphText:

@@ -114,6 +114,15 @@ def test_from_import_loads_only_the_owning_module():
     )
 
 
+def test_submodule_attribute_resolves_in_process(monkeypatch):
+    # once imported, a submodule is a package attribute; without it the
+    # package's __getattr__ must find the module
+    import wordrep.search
+
+    monkeypatch.delattr(wordrep, "search")
+    assert wordrep.search is sys.modules["wordrep.search"]
+
+
 def test_submodule_is_an_attribute_after_a_bare_import():
     got = loaded_modules("import wordrep\nwordrep.orientations")
     assert got == qualified("errors", "graphs", "orientations")
@@ -195,6 +204,17 @@ def test_only_search_kernels_recurse():
                 if any(isinstance(f, ast.Name) and f.id == node.name for f in calls):
                     found.append((path.name, node.name))
     assert sorted(found) == RECURSIVE_KERNELS
+
+
+def test_search_state_is_passed_down():
+    # a search node's state is its call's arguments: a closure may rebind only
+    # its node counter, so no kernel restores state on return
+    found = []
+    for path in sorted(Path(SRC, "wordrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Nonlocal):
+                found += [(path.name, node.lineno, n) for n in node.names if n != "nodes"]
+    assert found == []
 
 
 def test_all_keeps_the_public_names():

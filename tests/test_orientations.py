@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordrep import (
     Graph,
+    ShortcutWitness,
     add_apex,
     Orientation,
     ParseError,
@@ -58,6 +59,9 @@ class TestOrientationBasics:
             ([0b110, 0b100, 0b000], "(1, 3) is not an edge of the base graph"),
             ([0b010, 0b000, 0b000], "edge (2, 3) left undirected"),
             ([0b010, 0b100, 0b010], "edge (2, 3) directed more than once"),
+            ([0b010, 0b100], "expected 3 out-masks over 3 vertices"),
+            ([0b010, 0b1100, 0b000], "expected 3 out-masks over 3 vertices"),
+            ([0b010, 0b100, -1], "expected 3 out-masks over 3 vertices"),
         ],
     )
     def test_from_masks_rejects(self, out, message):
@@ -86,6 +90,12 @@ class TestOrientationBasics:
         assert d.__eq__(g) is NotImplemented
         assert repr(d) == "Orientation(2->1, 2->3)"
         assert d.arc_count() == 2 and Orientation(Graph([]), []).arc_count() == 0
+
+    def test_orient_by_order_needs_a_permutation(self):
+        g = build_family("path", 3)
+        for order in (["1", "1", "2"], ["1", "2"], ["1", "2", "3", "3"]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                orient_by_order(g, order)
 
 
 class TestAcyclicity:
@@ -163,6 +173,28 @@ class TestFindShortcut:
         assert w.path == ("1", "2", "3", "4", "5")
         assert w.missing_pair == ("1", "4")
         assert not is_semi_transitive(shortcut_digraph)
+
+    @pytest.mark.parametrize(
+        "path, pair",
+        [
+            (("1", "2", "3"), ("1", "3")),  # too short
+            (("1", "3", "2", "4", "5"), ("1", "4")),  # no arc 3 -> 2
+            (("1", "2", "3", "4"), ("1", "4")),  # no closing arc 1 -> 4
+            (("1", "2", "3", "4", "5"), ("1", "2")),  # an adjacent pair
+            (("1", "2", "3", "4", "5"), ("2", "6")),  # 6 is off the path
+            (("1", "2", "3", "4", "5"), ("1", "1")),  # not a pair
+        ],
+    )
+    def test_bad_witness_rejected(self, shortcut_digraph, path, pair):
+        # the fixture's shortcut is 1 -> 2 -> 3 -> 4 -> 5 with 1, 4 non-adjacent
+        assert not is_shortcut_witness(shortcut_digraph, ShortcutWitness(path, pair))
+
+    def test_witness_repeating_a_vertex_rejected(self):
+        # on a cyclic orientation a walk may pass every other check
+        arcs = [("1", "2"), ("2", "3"), ("3", "1"), ("1", "4")]
+        d = Orientation(Graph(["1", "2", "3", "4"], arcs), arcs)
+        walk = ShortcutWitness(("1", "2", "3", "1", "4"), ("2", "4"))
+        assert not is_shortcut_witness(d, walk)
 
     # seed -> (path, missing_pair) on random_graph(Random(seed), n, 0.6)
     # directed along a shuffled order; seeds 19, 26 and 30 return a path

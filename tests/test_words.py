@@ -61,6 +61,12 @@ class TestWordConstruction:
         assert w.alphabet == ("x", "y", "z")
         assert w.occurrences("x") == (0, 2)
         assert w.occurrences("y") == (1, 4)
+        assert list(w) == ["x", "y", "x", "z", "y"]
+
+    def test_equality_with_other_types(self):
+        w = Word(["a", "b"])
+        assert w.__eq__(1) is NotImplemented
+        assert (w == 1) is False and w != 1 and w == Word(["a", "b"])
 
 
 class TestParsing:
