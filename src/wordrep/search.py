@@ -131,7 +131,8 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
             after = [s | bc for s in since]
             after[c] = 0
             kid_two = two & ~bc if kid_rem[c] < 2 else two
-            if extend(pos + 1, after, kid_live, kid_rem, kid_two, avail & ~bc if final else avail):
+            kid_avail = avail & ~bc if final else avail
+            if extend(pos + 1, after, kid_live, kid_rem, kid_two, kid_avail):
                 return True
             word_idx.pop()
         return False

@@ -288,7 +288,8 @@ class TestChromaticNumber:
         graphs += [random_graph(rng, 6, rng.random()) for _ in range(200)]
         assert len(graphs) == 1300
         for g in graphs:
-            assert chromatic_number(g) == naive_chromatic_number(g.labels, g.edges()), g.edges()
+            want = naive_chromatic_number(g.labels, g.edges())
+            assert chromatic_number(g) == want, g.edges()
 
 
 class TestGraphText:
