@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, _read_pairs, in_masks, iter_bits, reach, topological_order
+from .graphs import Graph, _read_pairs, in_masks, iter_bits, topological_order
 
 
 class Orientation:
@@ -128,25 +128,27 @@ def is_shortcut_witness(d: Orientation, w: ShortcutWitness) -> bool:
 
 
 def directed_cycle(d: Orientation) -> tuple[str, ...] | None:
-    """A directed cycle as a label sequence with first == last, or None.
-
-    From the least vertex that the topological order leaves out, a walk goes
-    back to the least left-out in-neighbour until a vertex repeats; the cycle
-    through that vertex is returned in arc order, from it back to it.
-    """
+    """A directed cycle as a label sequence with first == last, or None."""
     inn = in_masks(d.out)
-    left = (1 << d.base.n) - 1 - sum(1 << x for x in topological_order(inn))
-    if not left:
-        return None
-    walk: list[int] = []
+    order = topological_order(inn)
+    return None if len(order) == d.base.n else _cycle(d.base.labels, inn, order)
+
+
+def _cycle(labs: Sequence[str], inn: Sequence[int], order: list[int]) -> tuple[str, ...]:
+    """A directed cycle, given the in-masks and their topological order, cut short.
+
+    A walk goes back from the least vertex that the order leaves out, to the
+    least left-out in-neighbour, until a vertex repeats; the cycle through it
+    is returned in arc order, from it back to it.
+    """
+    left = (1 << len(inn)) - 1 - sum(1 << x for x in order)
     seen: dict[int, int] = {}
     x = (left & -left).bit_length() - 1
     while x not in seen:
-        seen[x] = len(walk)
-        walk.append(x)
+        seen[x] = len(seen)
         back = inn[x] & left
         x = (back & -back).bit_length() - 1
-    return tuple(d.base.labels[i] for i in reversed(walk[seen[x] :] + [x]))
+    return tuple(labs[i] for i in reversed([*seen][seen[x] :] + [x]))
 
 
 def is_acyclic(d: Orientation) -> bool:
@@ -233,26 +235,21 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     inn = in_masks(out)
     order = topological_order(inn)
     if len(order) < n:
-        raise ValueError("orientation is cyclic: " + " -> ".join(directed_cycle(d)))
+        raise ValueError("orientation is cyclic: " + " -> ".join(_cycle(labs, inn, order)))
     anc = [0] * n
     desc = [0] * n
     for v in order:
         for u in iter_bits(inn[v]):
             anc[v] |= anc[u] | 1 << u
-    for u in reversed(order):
-        for v in iter_bits(out[u]):
-            desc[u] |= desc[v] | 1 << v
+        for u in iter_bits(anc[v]):
+            desc[u] |= 1 << v
 
     for u in range(n):
         for v in iter_bits(out[u]):
             path = _shortcut_path(adj, out, u, v, desc[u] & anc[v])
             if path is not None:
-                a, b = next(
-                    (x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1
-                )
-                return ShortcutWitness(
-                    tuple(labs[t] for t in path), (labs[a], labs[b])
-                )
+                a, b = next((x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1)
+                return ShortcutWitness(tuple(labs[t] for t in path), (labs[a], labs[b]))
     return None
 
 
@@ -267,18 +264,31 @@ def is_semi_transitive(d: Orientation) -> bool:
 def exists_semi_transitive(g: Graph) -> Orientation | None:
     """A semi-transitive orientation of g, or None when no orientation works.
 
-    Vertex orders are enumerated (every acyclic orientation arises from one);
-    a prefix dies as soon as the arcs into the newest vertex complete a
-    shortcut.  The witness comes from the lexicographically least successful
-    order, by placing candidate vertices in index order.  A set of dead
-    states skips replayed ones.  A state is one int: the placed set in bits
-    0..n-1 and, at bit (w + 1) * n, the in-neighbour mask of each placed w,
-    which fixes every arc between placed vertices.  A node's state is the
-    arguments of its call: the placed set, the key and the out- and
-    in-neighbour masks, which a child gets as copies, so nothing is undone on
-    return.  The witness is built from the out-neighbour masks of the leaf.
+    Vertex orders, which give every acyclic orientation, are enumerated in
+    index order; the least successful one is the witness, with out-masks
+    adj & desc.  A prefix dies once the arcs into its newest vertex, a sink,
+    close a shortcut, which `_closes_shortcut` decides from the ancestor and
+    descendant masks.  A node's state is its call's arguments: those masks,
+    the placed set and the memo key; a child gets copies, so nothing is undone
+    on return.  The key (the placed set in bits 0..n-1, the in-neighbour mask
+    of each placed w at bit (w + 1) * n) fixes every arc; dead keys are skipped.
     """
     return _semi_transitive_search(g)[0]
+
+
+def _closes_shortcut(adj: Sequence[int], desc: Sequence[int], w: int, anc_w: int) -> bool:
+    """True when the arcs into the new sink w complete a shortcut.
+
+    desc[x] is the descendant mask of each x placed before w, and anc_w the
+    mask of w's ancestors.  Lemma: one closes exactly when some tail u of w has
+    an x in inside(u) = desc[u] & anc_w that is non-adjacent to u or to w.  If
+    so, u-x and x-w paths join into one (the digraph is acyclic) with a vertex
+    between the non-adjacent pair: with u -> w, a shortcut.  Conversely, a
+    shortcut u = v1 -> ... -> vk = w has non-adjacent va, vb, a + 1 < b: if
+    b = k, x = va fits u; if a = 1, x = vb does; otherwise va is non-adjacent
+    to w, or va is a tail and x = vb, in inside(va), is non-adjacent to it.
+    """
+    return any(desc[u] & anc_w & ~(adj[u] & adj[w]) for u in iter_bits(adj[w] & anc_w))
 
 
 def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
@@ -289,41 +299,31 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     dead: set[int] = set()
     nodes = 0
 
-    def completes_shortcut(w: int, placed: int, out: list[int], inn: list[int]) -> bool:
-        # arcs into w were just added; any new shortcut must end at w
-        anc_w = reach(inn, w, placed)
-        for u in iter_bits(adj[w] & placed):
-            inside = reach(out, u, placed) & anc_w
-            if _shortcut_path(adj, out, u, w, inside) is not None:
-                return True
-        return False
-
-    def place(placed: int, key: int, out: list[int], inn: list[int]) -> list[int] | None:
+    def place(placed: int, key: int, anc: list[int], desc: list[int]) -> list[int] | None:
         nonlocal nodes
         if placed == full:
-            return out
+            return [adj[u] & desc[u] for u in range(n)]
         if key in dead:
             return None
         for w in iter_bits(full & ~placed):
             tails = adj[w] & placed
-            kid_out = out.copy()
-            for u in iter_bits(tails):
-                kid_out[u] |= 1 << w
-            kid_inn = inn.copy()
-            kid_inn[w] = tails
-            if not completes_shortcut(w, placed, kid_out, kid_inn):
+            anc_w = tails
+            for t in iter_bits(tails):
+                anc_w |= anc[t]
+            if not _closes_shortcut(adj, desc, w, anc_w):
                 nodes += 1
+                kid_anc = anc.copy()
+                kid_anc[w] = anc_w
+                kid_desc = [m | (anc_w >> x & 1) << w for x, m in enumerate(desc)]
                 step = 1 << w | tails << (w + 1) * n
-                found = place(placed | 1 << w, key | step, kid_out, kid_inn)
+                found = place(placed | 1 << w, key | step, kid_anc, kid_desc)
                 if found is not None:
                     return found
         dead.add(key)
         return None
 
     out = place(0, 0, [0] * n, [0] * n)
-    if out is None:
-        return None, nodes
-    return Orientation.from_masks(g, out), nodes
+    return (None if out is None else Orientation.from_masks(g, out)), nodes
 
 
 def _split_arc(line: str) -> tuple[str, str]:

@@ -71,10 +71,13 @@ def _simple_paths(d: Orientation):
         yield from walk([start])
 
 
-def naive_has_shortcut(d: Orientation) -> bool:
-    """Directed path on >= 4 vertices, closed by an arc, with a hole."""
+def naive_has_shortcut(d: Orientation, end: str | None = None) -> bool:
+    """Directed path on >= 4 vertices, closed by an arc, with a hole.
+
+    With `end`, only paths that end at that vertex count.
+    """
     for path in _simple_paths(d):
-        if len(path) < 4:
+        if len(path) < 4 or end not in (None, path[-1]):
             continue
         if not d.has_arc(path[0], path[-1]):
             continue

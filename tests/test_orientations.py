@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -17,6 +18,7 @@ from wordrep import (
     exists_semi_transitive,
     find_shortcut,
     format_orientation,
+    induced_subgraph,
     is_acyclic,
     is_semi_transitive,
     is_shortcut_witness,
@@ -25,7 +27,8 @@ from wordrep import (
     parse_orientation,
     representation_number,
 )
-from wordrep.orientations import _semi_transitive_search
+from wordrep import graphs, orientations
+from wordrep.orientations import _closes_shortcut, _semi_transitive_search
 from wordrep.search import WITNESS_FOUND
 from oracles import naive_has_shortcut, naive_is_acyclic, random_graph
 
@@ -145,6 +148,28 @@ class TestAcyclicity:
                 assert set(zip(cyc, cyc[1:])) <= set(arcs)
         assert 600 < cyclic < 1500
 
+    def test_find_shortcut_quotes_the_cycle(self, monkeypatch):
+        # find_shortcut walks back inside its own topological order: it quotes
+        # directed_cycle's cycle without calling it
+        rng = random.Random(18)
+        cases = []
+        while len(cases) < 300:
+            labs = [str(i) for i in range(rng.randint(3, 10))]
+            edges = [e for e in combinations(labs, 2) if rng.random() < 0.5]
+            arcs = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in edges]
+            d = Orientation(Graph(labs, edges), arcs)
+            if (cyc := directed_cycle(d)) is not None:
+                cases.append((d, "orientation is cyclic: " + " -> ".join(cyc)))
+
+        def boom(d):
+            raise AssertionError("directed_cycle called")
+
+        monkeypatch.setattr(orientations, "directed_cycle", boom)
+        for d, message in cases:
+            with pytest.raises(ValueError) as err:
+                find_shortcut(d)
+            assert str(err.value) == message
+
 
 class TestTransitivity:
     def test_transitive_tournament(self):
@@ -248,6 +273,50 @@ class TestFindShortcut:
             assert is_shortcut_witness(d, got)
 
 
+def _descendant_masks(adj, order):
+    """Descendants of each vertex of order when each edge runs forward in it."""
+    pos = {v: i for i, v in enumerate(order)}
+    desc = [0] * len(adj)
+    for x in order:
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in order:
+                if adj[y] >> z & 1 and pos[z] > pos[y] and not desc[x] >> z & 1:
+                    desc[x] |= 1 << z
+                    stack.append(z)
+    return desc
+
+
+class TestClosesShortcut:
+    def test_matches_naive_oracle(self):
+        # the new sink w of each prefix of a random vertex order: the rule
+        # must say whether the order-induced orientation has a shortcut ending
+        # at w, which is whether it has any, while no shorter prefix has one
+        rng = random.Random(18)
+        verdicts = []
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(5, 8), rng.choice((0.4, 0.6, 0.8)))
+            order = rng.sample(range(g.n), g.n)
+            clean = True
+            for k in range(1, g.n + 1):
+                w = order[k - 1]
+                desc = _descendant_masks(g.adj, order[:k])
+                anc_w = sum(1 << x for x in order[: k - 1] if desc[x] >> w & 1)
+                before = [m & ~(1 << w) for m in desc]
+                got = _closes_shortcut(g.adj, before, w, anc_w)
+                labs = [g.labels[i] for i in order[:k]]
+                d = orient_by_order(induced_subgraph(g, labs), labs)
+                assert got == naive_has_shortcut(d, end=g.labels[w]), (g.edges(), labs)
+                if clean:
+                    assert got == naive_has_shortcut(d), (g.edges(), labs)
+                verdicts.append((clean, got))
+                clean = clean and not got
+        firsts = sum(got for clean, got in verdicts if clean)
+        later = sum(got for clean, got in verdicts if not clean)
+        assert 100 < firsts < 300 and later > 100
+
+
 class TestExistsSemiTransitive:
     def test_cycle5_found(self):
         d = exists_semi_transitive(build_family("cycle", 5))
@@ -274,31 +343,19 @@ class TestExistsSemiTransitive:
         assert found == rep
 
 
+# (family, size, arcs of the orientation found, nodes placed); the dead-state
+# memo acts at every n, so it cuts Pr4 and the Petersen graph
+SEARCH_GOLDEN = [
+    ("prism", 3, "1>2 1>3 1>1' 2>3 2>2' 3>3' 1'>2' 1'>3' 2'>3'", 6),
+    ("cycle", 7, "1>2 1>7 2>3 3>4 4>5 5>6 7>6", 8),
+    ("prism", 4, "1>2 1>4 1>1' 2>3 2>2' 3>3' 4>3 4>4' 1'>2' 1'>4' 2'>3' 4'>3'", 35),
+    ("crown", 4, "1>2' 1>3' 1>4' 2>1' 2>3' 2>4' 3>1' 3>2' 3>4' 4>1' 4>2' 4>3'", 8),
+    ("petersen", 10, "1>2 1>5 1>6 2>3 2>7 3>4 3>8 4>9 5>4 5>10 6>8 6>9 7>9 7>10 8>10", 84),
+]
+
+
 class TestSemiTransitiveSearch:
-    # (family, size) -> (arcs of the orientation found, nodes placed); the
-    # dead-state memo acts at every n, so it cuts Pr4 and the Petersen graph
-    @pytest.mark.parametrize(
-        "family, size, arcs, nodes",
-        [
-            ("prism", 3, "1>2 1>3 1>1' 2>3 2>2' 3>3' 1'>2' 1'>3' 2'>3'", 6),
-            ("cycle", 7, "1>2 1>7 2>3 3>4 4>5 5>6 7>6", 8),
-            (
-                "prism", 4,
-                "1>2 1>4 1>1' 2>3 2>2' 3>3' 4>3 4>4' 1'>2' 1'>4' 2'>3' 4'>3'",
-                35,
-            ),
-            (
-                "crown", 4,
-                "1>2' 1>3' 1>4' 2>1' 2>3' 2>4' 3>1' 3>2' 3>4' 4>1' 4>2' 4>3'",
-                8,
-            ),
-            (
-                "petersen", 10,
-                "1>2 1>5 1>6 2>3 2>7 3>4 3>8 4>9 5>4 5>10 6>8 6>9 7>9 7>10 8>10",
-                84,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("family, size, arcs, nodes", SEARCH_GOLDEN)
     def test_golden_arcs_and_nodes(self, family, size, arcs, nodes):
         d, got_nodes = _semi_transitive_search(build_family(family, size))
         assert d.arcs() == [tuple(a.split(">")) for a in arcs.split()]
@@ -334,6 +391,35 @@ class TestSemiTransitiveSearch:
         ]
         assert len(graphs) == 853
         assert sum(exists_semi_transitive(g) is None for g in graphs) == 25
+
+    def test_golden_small_and_eight_vertex_sample(self):
+        # every labelled graph on at most 5 vertices, then 200 seeded
+        # eight-vertex graphs: the node total and a digest of every witness
+        sample = []
+        for n in range(6):
+            labs = [str(i + 1) for i in range(n)]
+            pairs = list(combinations(labs, 2))
+            for mask in range(1 << len(pairs)):
+                sample.append(Graph(labs, [p for b, p in enumerate(pairs) if mask >> b & 1]))
+        rng = random.Random(18)
+        sample += [random_graph(rng, 8) for _ in range(200)]
+        results = [_semi_transitive_search(g) for g in sample]
+        assert sum(nodes for _, nodes in results) == 115584
+        arcs = "".join(repr(None if d is None else d.arcs()) for d, _ in results)
+        assert hashlib.sha256(arcs.encode()).hexdigest()[:16] == "b991dab95b57e0b0"
+
+    def test_search_runs_no_walk_and_no_path_dfs(self, monkeypatch):
+        # the goldens above, with every reachability walk and the shortcut-path
+        # DFS made to fail: the search decides from its masks alone
+        def boom(*args):
+            raise AssertionError("walk or DFS called")
+
+        monkeypatch.setattr(graphs, "reach", boom)
+        monkeypatch.setattr(orientations, "reach", boom, raising=False)
+        monkeypatch.setattr(orientations, "_shortcut_path", boom)
+        for case in SEARCH_GOLDEN[2::2]:  # Pr4 and Petersen
+            self.test_golden_arcs_and_nodes(*case)
+        self.test_golden_memo_exhaustion(False, 476)  # W5
 
     def test_golden_seven_vertex_sample(self):
         rng = random.Random(77)
