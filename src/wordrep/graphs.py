@@ -40,23 +40,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def reach(masks: Sequence[int], start: int, allowed: int) -> int:
-    """The vertices of `allowed` reachable from start by one or more steps.
-
-    masks[x] is the bitmask of x's neighbours (out-neighbours, for a
-    digraph); start itself is included only when a walk returns to it.
-    """
-    seen = 0
-    frontier = masks[start] & allowed
-    while frontier:
-        seen |= frontier
-        nxt = 0
-        for x in iter_bits(frontier):
-            nxt |= masks[x] & allowed
-        frontier = nxt & ~seen
-    return seen
-
-
 def in_masks(out: Sequence[int]) -> list[int]:
     """The in-neighbour bitmasks of the digraph with out-neighbour masks out."""
     inn = [0] * len(out)
@@ -316,35 +299,44 @@ def _greedy_clique_size(g: Graph) -> int:
     return size
 
 
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch and bound.
+def _fewest_classes(items: Sequence, empty: object, join: Callable, t: int) -> list:
+    """A split of items into the fewest classes, searched from t classes up.
 
-    A greedy clique gives the lower bound and n colours always suffice;
-    fewer colours are searched with the first-fit symmetry break.
-    Practical for graphs of up to ~12 vertices.
+    join(cls, item) returns cls grown by item, or None when the item does not
+    fit.  Each item in turn tries the open classes first to last, then, while
+    fewer than t are open, one new class that starts as empty; so classes
+    open in order of first use and no split recurs with its classes renamed.
+    t rises by one until a split exists.  Started at most at the fewest
+    possible count, the first t that succeeds is that count and the split
+    has exactly t classes: one with fewer would have succeeded earlier.
     """
-    n = g.n
+
+    def fill(p: int, classes: list) -> list | None:
+        if p == len(items):
+            return classes
+        for c, cls in enumerate(classes + [empty] if len(classes) < t else classes):
+            grown = join(cls, items[p])
+            if grown is not None:
+                found = fill(p + 1, classes[:c] + [grown] + classes[c + 1 :])
+                if found is not None:
+                    return found
+        return None
+
+    while (classes := fill(0, [])) is None:
+        t += 1
+    return classes
+
+
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number: _fewest_classes over vertices by falling degree.
+
+    The search starts at the size of a greedy clique, which no colouring
+    undercuts.  Practical for graphs of up to ~12 vertices.
+    """
     adj = g.adj
-    order = sorted(range(n), key=lambda i: -adj[i].bit_count())
-    lower = _greedy_clique_size(g)
-
-    def colorable(pos: int, classes: list[int], limit: int) -> bool:
-        # classes[c]: the vertices of colour c; at most one new class per step,
-        # which kills colour permutations
-        if pos == n:
-            return True
-        v = order[pos]
-        for c, members in enumerate(classes + [0] if len(classes) < limit else classes):
-            if not members & adj[v]:
-                grown = classes[:c] + [members | 1 << v] + classes[c + 1 :]
-                if colorable(pos + 1, grown, limit):
-                    return True
-        return False
-
-    for c in range(lower, n):
-        if colorable(0, [], c):
-            return c
-    return n
+    order = sorted(range(g.n), key=lambda i: -adj[i].bit_count())
+    join = lambda m, v: None if m & adj[v] else m | 1 << v
+    return len(_fewest_classes(order, 0, join, _greedy_clique_size(g)))
 
 
 def _read_pairs(

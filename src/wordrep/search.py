@@ -12,7 +12,8 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
-from .graphs import Graph, _greedy_clique_size, in_masks, iter_bits, topological_order
+from .graphs import Graph, _fewest_classes, _greedy_clique_size, in_masks, iter_bits
+from .graphs import topological_order
 from .words import LinearOrderFamily, Word, represents
 
 if TYPE_CHECKING:
@@ -291,8 +292,9 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     when every critical pair has b below a in one of them (Trotter,
     Combinatorics and Partially Ordered Sets, 1992), and a set of critical
     pairs fits in one extension exactly when d plus the arcs b -> a stays
-    acyclic.  The critical pairs are split by backtracking into t = 1, 2, ...
-    such classes, a new class opening only after every open one was tried.
+    acyclic.  So the dimension is a hypergraph chromatic number on the
+    critical pairs (Felsner and Trotter, Dimension, graph and hypergraph
+    coloring, Order 17, 2000), found by _fewest_classes from t = 1.
     Each member is the topological order of its class that takes the least
     ready index first; the realizer is re-verified by intersection equality.
     """
@@ -314,26 +316,15 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
         and not out[b] & ~out[a]
     ]
 
-    def split(p: int, classes: list[list[int]], t: int) -> list[list[int]] | None:
-        # classes[c][x]: the vertices below x once class c's arcs are added
-        if p == len(critical):
-            return classes
-        a, b = critical[p]
-        for c, below in enumerate(classes + [inn] if len(classes) < t else classes):
-            if below[b] >> a & 1:
-                continue  # a is already below b: b -> a would close a cycle
-            low = below[b] | 1 << b
-            grown = [
-                m | low if x == a or m >> a & 1 else m for x, m in enumerate(below)
-            ]
-            found = split(p + 1, classes[:c] + [grown] + classes[c + 1 :], t)
-            if found is not None:
-                return found
-        return None
+    def join(below: list[int], pair: tuple[int, int]) -> list[int] | None:
+        # below[x]: the vertices below x once the class's arcs are added
+        a, b = pair
+        if below[b] >> a & 1:
+            return None  # a is already below b: b -> a would close a cycle
+        low = below[b] | 1 << b
+        return [m | low if x == a or m >> a & 1 else m for x, m in enumerate(below)]
 
-    t = 1
-    while (classes := split(0, [], t)) is None:
-        t += 1
+    classes = _fewest_classes(critical, inn, join, 1)
     orders = [topological_order(below) for below in classes or [inn]]
     positions = [[e.index(v) for v in range(n)] for e in orders]
     for i in range(n):

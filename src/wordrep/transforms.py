@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import VerificationError
 from .graphs import Graph, _check_size, _union, add_apex, build_family
-from .graphs import induced_subgraph, reach, validate_label
+from .graphs import induced_subgraph, validate_label
 from .words import (
     LinearOrderFamily,
     Word,
@@ -330,17 +330,6 @@ def crown_perm_word(k: int) -> Word:
     return _verified(Word(letters), build_family("crown", k), "crown_perm_word")
 
 
-def _check_tree(t: Graph) -> None:
-    n = t.n
-    if n == 0:
-        raise ValueError("a tree must have at least one vertex")
-    if t.edge_count != n - 1:
-        raise ValueError("not a tree: edge count differs from vertex count - 1")
-    full = (1 << n) - 1
-    if (reach(t.adj, 0, full) | 1) != full:
-        raise ValueError("not a tree: the graph is disconnected")
-
-
 def _tree_word_rooted(t: Graph, root: str) -> list[str]:
     letters = [root, root]
     placed = {root}
@@ -364,8 +353,14 @@ def tree_word(t: Graph) -> Word:
     each child y of an already placed vertex x (in breadth-first, label-sorted
     order) replaces the first occurrence of x by y x y.
     """
-    _check_tree(t)
-    return _verified(Word(_tree_word_rooted(t, min(t.labels))), t, "tree_word")
+    if t.n == 0:
+        raise ValueError("a tree must have at least one vertex")
+    if t.edge_count != t.n - 1:
+        raise ValueError("not a tree: edge count differs from vertex count - 1")
+    letters = _tree_word_rooted(t, min(t.labels))
+    if len(letters) < 2 * t.n:  # the walk missed a vertex
+        raise ValueError("not a tree: the graph is disconnected")
+    return _verified(Word(letters), t, "tree_word")
 
 
 def cycle_word(n: int) -> Word:

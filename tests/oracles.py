@@ -162,6 +162,14 @@ def naive_isomorphic(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
+def every_graph(n):
+    """All 2^C(n, 2) labelled graphs on the vertices 1..n."""
+    labs = [str(i) for i in range(1, n + 1)]
+    pairs = list(combinations(labs, 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(labs, [p for b, p in enumerate(pairs) if mask >> b & 1])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     labels = [str(i + 1) for i in range(n)]
     edges = [

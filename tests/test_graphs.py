@@ -18,19 +18,12 @@ from wordrep import (
 )
 from wordrep.graphs import topological_order, validate_label
 from oracles import (
+    every_graph,
     graph_edge_set,
     naive_chromatic_number,
     naive_isomorphic,
     random_graph,
 )
-
-
-def every_graph(n):
-    """All 2^C(n, 2) labelled graphs on the vertices 1..n."""
-    labs = [str(i) for i in range(1, n + 1)]
-    pairs = list(combinations(labs, 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(labs, [p for b, p in enumerate(pairs) if mask >> b & 1])
 
 
 class TestGraphBasics:

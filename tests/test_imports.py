@@ -185,13 +185,12 @@ def test_no_module_level_accumulator():
 # call themselves; a polynomial check walks with an explicit stack instead,
 # so its depth is not bounded by the recursion limit.
 RECURSIVE_KERNELS = [
-    ("graphs.py", "colorable"),  # chromatic_number
     ("graphs.py", "extend"),  # are_isomorphic
+    ("graphs.py", "fill"),  # chromatic_number and poset_dimension
     ("orientations.py", "place"),  # exists_semi_transitive
     ("search.py", "extend"),  # find_k_uniform_representant
     ("search.py", "set_arc"),  # find_transitive_orientation
     ("search.py", "solve"),  # find_transitive_orientation
-    ("search.py", "split"),  # poset_dimension
 ]
 
 

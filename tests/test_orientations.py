@@ -27,10 +27,10 @@ from wordrep import (
     parse_orientation,
     representation_number,
 )
-from wordrep import graphs, orientations
+from wordrep import orientations
 from wordrep.orientations import _closes_shortcut, _semi_transitive_search
 from wordrep.search import WITNESS_FOUND
-from oracles import naive_has_shortcut, naive_is_acyclic, random_graph
+from oracles import every_graph, naive_has_shortcut, naive_is_acyclic, random_graph
 
 
 @st.composite
@@ -395,12 +395,7 @@ class TestSemiTransitiveSearch:
     def test_golden_small_and_eight_vertex_sample(self):
         # every labelled graph on at most 5 vertices, then 200 seeded
         # eight-vertex graphs: the node total and a digest of every witness
-        sample = []
-        for n in range(6):
-            labs = [str(i + 1) for i in range(n)]
-            pairs = list(combinations(labs, 2))
-            for mask in range(1 << len(pairs)):
-                sample.append(Graph(labs, [p for b, p in enumerate(pairs) if mask >> b & 1]))
+        sample = [g for n in range(6) for g in every_graph(n)]
         rng = random.Random(18)
         sample += [random_graph(rng, 8) for _ in range(200)]
         results = [_semi_transitive_search(g) for g in sample]
@@ -409,13 +404,11 @@ class TestSemiTransitiveSearch:
         assert hashlib.sha256(arcs.encode()).hexdigest()[:16] == "b991dab95b57e0b0"
 
     def test_search_runs_no_walk_and_no_path_dfs(self, monkeypatch):
-        # the goldens above, with every reachability walk and the shortcut-path
-        # DFS made to fail: the search decides from its masks alone
+        # the goldens above, with the shortcut-path DFS made to fail: the
+        # search decides from its ancestor and descendant masks alone
         def boom(*args):
             raise AssertionError("walk or DFS called")
 
-        monkeypatch.setattr(graphs, "reach", boom)
-        monkeypatch.setattr(orientations, "reach", boom, raising=False)
         monkeypatch.setattr(orientations, "_shortcut_path", boom)
         for case in SEARCH_GOLDEN[2::2]:  # Pr4 and Petersen
             self.test_golden_arcs_and_nodes(*case)

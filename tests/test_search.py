@@ -29,6 +29,7 @@ from wordrep import (
     uniformity,
 )
 from oracles import (
+    every_graph,
     naive_edge_set,
     naive_isomorphic,
     naive_k_uniform_words,
@@ -163,12 +164,10 @@ class TestKUniformSearch:
             reachable = {
                 frozenset(naive_edge_set(w)) for w in naive_k_uniform_words(labels, k)
             }
-            pairs = list(combinations(labels, 2))
-            for mask in range(1 << len(pairs)):
-                edges = [p for t, p in enumerate(pairs) if mask >> t & 1]
-                target = frozenset(map(frozenset, edges))
-                cert = find_k_uniform_representant(Graph(labels, edges), k)
-                assert (cert.status == WITNESS_FOUND) == (target in reachable), (k, edges)
+            for g in every_graph(n):
+                target = frozenset(map(frozenset, g.edges()))
+                cert = find_k_uniform_representant(g, k)
+                assert (cert.status == WITNESS_FOUND) == (target in reachable), (k, g.edges())
                 if cert.witness is not None:
                     assert naive_edge_set(cert.witness.letters) == target
 
@@ -262,13 +261,10 @@ def test_census_six_vertices():
     the only one that is not word-representable; their labelled copies
     number 6!/|Aut| = 720/12 and 720/10.
     """
-    labels = [str(i) for i in range(1, 7)]
-    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
     prism = build_family("prism", 3)
     w5 = add_apex(build_family("cycle", 5), "a")
     counts = {1: 0, 2: 0, 3: 0, None: 0}
-    for mask in range(1 << len(pairs)):
-        g = Graph(labels, [p for t, p in enumerate(pairs) if mask >> t & 1])
+    for g in every_graph(6):
         res = representation_number(g)
         counts[res.rep_number] += 1
         if res.rep_number is None:
@@ -341,15 +337,11 @@ class TestTransitiveOrientationSearch:
     def test_status_matches_oracle_up_to_five_vertices(self):
         # every labelled graph on at most five vertices, both sides of the answer
         counts = {WITNESS_FOUND: 0, EXHAUSTED: 0}
-        for n in range(6):
-            labels = [str(i) for i in range(1, n + 1)]
-            pairs = list(combinations(labels, 2))
-            for mask in range(1 << len(pairs)):
-                g = Graph(labels, [p for t, p in enumerate(pairs) if mask >> t & 1])
-                status = find_transitive_orientation(g).status
-                found = status == WITNESS_FOUND
-                assert found == naive_transitive_orientation_exists(g), g
-                counts[status] += 1
+        for g in (g for n in range(6) for g in every_graph(n)):
+            status = find_transitive_orientation(g).status
+            found = status == WITNESS_FOUND
+            assert found == naive_transitive_orientation_exists(g), g
+            counts[status] += 1
         assert counts[EXHAUSTED] > 0
 
 

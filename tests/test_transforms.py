@@ -176,6 +176,10 @@ class TestTreeWord:
         triangle_and_point = Graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("1", "3")])
         with pytest.raises(ValueError, match="disconnected"):
             tree_word(triangle_and_point)
+        # the least label is the isolated vertex, so the walk starts there
+        point_and_triangle = Graph(["0", "1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
+        with pytest.raises(ValueError, match="disconnected"):
+            tree_word(point_and_triangle)
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     def test_random_trees_verify(self, n, rng):
