@@ -76,26 +76,21 @@ def _ms(value: float, deterministic: bool) -> str:
     return "-" if deterministic else f"{value:.1f}"
 
 
-class _Report:
-    def __init__(self, args: argparse.Namespace):
-        self.lines: list[tuple[str, str]] = []
-        self.add("command", shlex.join(args._argv))
-
-    def add(self, key: str, value: str) -> None:
-        self.lines.append((key, value))
-
-    def emit(self) -> None:
-        for key, value in self.lines:
-            print(f"{key}: {value}")
-        print(f"version: wordrep {__version__}")
+def _report(args: argparse.Namespace, *lines: tuple[str, str]) -> None:
+    print(f"command: {shlex.join(args._argv)}")
+    for key, value in lines:
+        print(f"{key}: {value}")
+    print(f"version: wordrep {__version__}")
 
 
-def _check_bound(n: int, bound: int, what: str) -> None:
-    if n > bound:
+def _bounded_graph(args: argparse.Namespace, bound: int) -> Graph:
+    g = _load_graph(args.graph)
+    if g.n > bound:
         raise ValueError(
-            f"graph has {n} vertices; {what} runs an exhaustive search and "
+            f"graph has {g.n} vertices; {args.cmd} runs an exhaustive search and "
             f"supports at most {bound}"
         )
+    return g
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -110,18 +105,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     w = _load_word(args.word, alphabet=g.labels)
     ok = represents(w, g)
-    rep = _Report(args)
-    rep.add("inputs", _digest(format_graph(g), format_word(w)))
-    rep.add("result", "true" if ok else "false")
+    lines = [
+        ("inputs", _digest(format_graph(g), format_word(w))),
+        ("result", "true" if ok else "false"),
+    ]
     if not ok:
-        got = derive_graph(w)
-        got_edges = {frozenset(e) for e in got.edges()}
-        want_edges = {frozenset(e) for e in g.edges()}
-        extra = sorted(tuple(sorted(e)) for e in got_edges - want_edges)
-        missing = sorted(tuple(sorted(e)) for e in want_edges - got_edges)
-        rep.add("extra-edges", " ".join(f"{a},{b}" for a, b in extra) or "-")
-        rep.add("missing-edges", " ".join(f"{a},{b}" for a, b in missing) or "-")
-    rep.emit()
+        got, want = ({frozenset(e) for e in h.edges()} for h in (derive_graph(w), g))
+        for key, edges in (("extra-edges", got - want), ("missing-edges", want - got)):
+            pairs = sorted(tuple(sorted(e)) for e in edges)
+            lines.append((key, " ".join(f"{a},{b}" for a, b in pairs) or "-"))
+    _report(args, *lines)
     return 0 if ok else 1
 
 
@@ -129,22 +122,21 @@ def cmd_repnum(args: argparse.Namespace) -> int:
     from .search import WITNESS_FOUND, representation_number
     from .words import format_word
 
-    g = _load_graph(args.graph)
-    _check_bound(g.n, SEARCH_VERTEX_BOUND, "repnum")
+    g = _bounded_graph(args, SEARCH_VERTEX_BOUND)
     res = representation_number(g, args.max_k)
-    rep = _Report(args)
-    rep.add("inputs", _digest(format_graph(g)))
-    rep.add("status", res.status)
-    rep.add("rep-number", str(res.rep_number) if res.rep_number else "-")
-    rep.add("witness", format_word(res.witness) if res.witness else "-")
-    for k, cert in enumerate(res.per_k, start=1):
-        rep.add(f"k-{k}", f"{cert.status} nodes={cert.nodes_explored}")
+    certs = [(f"k-{k}", cert) for k, cert in enumerate(res.per_k, start=1)]
     if res.orientation is not None:
-        orient = res.orientation
-        rep.add("orientation", f"{orient.status} nodes={orient.nodes_explored}")
-    rep.add("nodes", str(res.nodes_explored))
-    rep.add("elapsed-ms", _ms(res.elapsed_ms, args.deterministic))
-    rep.emit()
+        certs.append(("orientation", res.orientation))
+    _report(
+        args,
+        ("inputs", _digest(format_graph(g))),
+        ("status", res.status),
+        ("rep-number", str(res.rep_number) if res.rep_number else "-"),
+        ("witness", format_word(res.witness) if res.witness else "-"),
+        *((key, f"{cert.status} nodes={cert.nodes_explored}") for key, cert in certs),
+        ("nodes", str(res.nodes_explored)),
+        ("elapsed-ms", _ms(res.elapsed_ms, args.deterministic)),
+    )
     return 0 if res.status == WITNESS_FOUND else 1
 
 
@@ -152,44 +144,42 @@ def cmd_find(args: argparse.Namespace) -> int:
     from .search import WITNESS_FOUND, find_k_uniform_representant
     from .words import Word, format_word
 
-    g = _load_graph(args.graph)
-    _check_bound(g.n, SEARCH_VERTEX_BOUND, "find")
+    g = _bounded_graph(args, SEARCH_VERTEX_BOUND)
     cert = find_k_uniform_representant(g, args.k)
-    rep = _Report(args)
-    rep.add("inputs", _digest(format_graph(g)))
-    rep.add("k", str(args.k))
-    rep.add("status", cert.status)
-    rep.add(
-        "witness",
-        format_word(cert.witness) if isinstance(cert.witness, Word) else "-",
+    _report(
+        args,
+        ("inputs", _digest(format_graph(g))),
+        ("k", str(args.k)),
+        ("status", cert.status),
+        ("witness", format_word(cert.witness) if isinstance(cert.witness, Word) else "-"),
+        ("nodes", str(cert.nodes_explored)),
+        ("elapsed-ms", _ms(cert.elapsed_ms, args.deterministic)),
     )
-    rep.add("nodes", str(cert.nodes_explored))
-    rep.add("elapsed-ms", _ms(cert.elapsed_ms, args.deterministic))
-    rep.emit()
     return 0 if cert.status == WITNESS_FOUND else 1
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
     from .orientations import exists_semi_transitive, format_orientation, is_semi_transitive
 
-    g = _load_graph(args.graph)
-    _check_bound(g.n, ORIENT_VERTEX_BOUND, "orient")
+    g = _bounded_graph(args, ORIENT_VERTEX_BOUND)
     t0 = time.perf_counter()
     d = exists_semi_transitive(g)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    rep = _Report(args)
-    rep.add("inputs", _digest(format_graph(g)))
     if d is None:
-        rep.add("status", "none")
-        rep.add("elapsed-ms", _ms(elapsed, args.deterministic))
-        rep.emit()
-        return 1
-    if not is_semi_transitive(d):
+        found = [("status", "none")]
+    elif not is_semi_transitive(d):
         raise VerificationError("found orientation is not semi-transitive")
-    rep.add("status", "semi-transitive")
-    rep.add("witness", " ".join(f"{u}->{v}" for u, v in d.arcs()) or "-")
-    rep.add("elapsed-ms", _ms(elapsed, args.deterministic))
-    rep.emit()
+    else:
+        arcs = " ".join(f"{u}->{v}" for u, v in d.arcs()) or "-"
+        found = [("status", "semi-transitive"), ("witness", arcs)]
+    _report(
+        args,
+        ("inputs", _digest(format_graph(g))),
+        *found,
+        ("elapsed-ms", _ms(elapsed, args.deterministic)),
+    )
+    if d is None:
+        return 1
     if args.out is not None:
         _write_out(args.out, format_orientation(d))
     return 0
@@ -206,22 +196,25 @@ def cmd_transform(args: argparse.Namespace) -> int:
     from . import transforms
     from .words import format_word, uniformity
 
-    rep = _Report(args)
     if args.op == "rep-arith":
         nums = transforms.combined_rep_number(
             transforms.RepNumberInput(k1=args.k1, k2=args.k2, n1=args.n1, n2=args.n2)
         )
-        rep.add("connect-edge", str(nums.connect_edge))
-        rep.add("glue-vertex", str(nums.glue_vertex))
-        rep.emit()
+        _report(
+            args,
+            ("connect-edge", str(nums.connect_edge)),
+            ("glue-vertex", str(nums.glue_vertex)),
+        )
         return 0
     w = _TRANSFORMS[args.op][1](args, transforms)
     prof = uniformity(w)
-    rep.add("word", format_word(w))
-    rep.add("k", str(prof.k) if prof.k is not None else "non-uniform")
-    rep.add("length", str(len(w)))
-    rep.add("verified", "true")
-    rep.emit()
+    _report(
+        args,
+        ("word", format_word(w)),
+        ("k", str(prof.k) if prof.k is not None else "non-uniform"),
+        ("length", str(len(w))),
+        ("verified", "true"),
+    )
     if args.out:
         _write_out(args.out, format_word(w) + "\n")
     return 0
@@ -233,12 +226,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
-    if args.which == "ladder":
-        for n in range(1, args.max + 1):
-            print(f"n={n}: {format_word(ladder_word(n))}")
-    else:
-        for k in range(1, args.max + 1):
-            print(f"k={k}: {format_word(crown_perm_word(k))}")
+    key, build = ("n", ladder_word) if args.which == "ladder" else ("k", crown_perm_word)
+    for i in range(1, args.max + 1):
+        print(f"{key}={i}: {format_word(build(i))}")
     return 0
 
 
@@ -248,17 +238,15 @@ def cmd_chord(args: argparse.Namespace) -> int:
 
     w = _load_word(args.word)
     d = chord_diagram(w)
-    svg = chord_svg(d)
-    if args.out == "-":
-        sys.stdout.write(svg)
-        return 0
-    _write_out(args.out, svg)
-    rep = _Report(args)
-    rep.add("inputs", _digest(format_word(w)))
-    rep.add("chords", str(len(d.chords)))
-    rep.add("crossings", str(crossing_graph(d).edge_count))
-    rep.add("out", args.out)
-    rep.emit()
+    _write_out(args.out, chord_svg(d))
+    if args.out != "-":
+        _report(
+            args,
+            ("inputs", _digest(format_word(w))),
+            ("chords", str(len(d.chords))),
+            ("crossings", str(crossing_graph(d).edge_count)),
+            ("out", args.out),
+        )
     return 0
 
 

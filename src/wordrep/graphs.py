@@ -201,12 +201,9 @@ def build_family(family: str, size: int) -> Graph:
             raise ValueError("petersen family has exactly 10 vertices")
         return Graph(_canon(10), PETERSEN_EDGES)
     n = size
-    if fam in ("complete", "path", "ladder", "crown") and n < 1:
-        raise ValueError(f"{fam} family needs size >= 1, got {n}")
-    if fam == "cycle" and n < 3:
-        raise ValueError(f"cycle family needs size >= 3, got {n}")
-    if fam == "prism" and n < 3:
-        raise ValueError(f"prism family needs size >= 3, got {n}")
+    least = {"complete": 1, "path": 1, "ladder": 1, "crown": 1, "cycle": 3, "prism": 3}[fam]
+    if n < least:
+        raise ValueError(f"{fam} family needs size >= {least}, got {n}")
 
     if fam == "complete":
         labs = _canon(n)

@@ -71,10 +71,9 @@ class RepNumberInput(_RepNumberInput):
     def __new__(cls, k1: int, k2: int, n1: int, n2: int) -> RepNumberInput:
         for name, value in (("k1", k1), ("k2", k2), ("n1", n1), ("n2", n2)):
             _check_size(name, value, 1)
-        if n1 == 1 and k1 != 1:
-            raise ValueError("a single-vertex graph has representation number 1")
-        if n2 == 1 and k2 != 1:
-            raise ValueError("a single-vertex graph has representation number 1")
+        for n, k in ((n1, k1), (n2, k2)):
+            if n == 1 and k != 1:
+                raise ValueError("a single-vertex graph has representation number 1")
         return super().__new__(cls, k1, k2, n1, n2)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,12 +168,13 @@ class TestRepnum:
         assert code == 0
         assert out == REPNUM_GOLDEN[family, size]
 
-    def test_non_deterministic_prints_elapsed(self, capsys, prism_file):
-        code, out, _ = run(
-            capsys, "repnum", "--graph", prism_file, "--deterministic", "false"
-        )
+    @pytest.mark.parametrize(
+        "argv", [["repnum"], ["find", "--k", "3"], ["orient"]], ids=["repnum", "find", "orient"]
+    )
+    def test_non_deterministic_prints_elapsed(self, capsys, prism_file, argv):
+        code, out, _ = run(capsys, *argv, "--graph", prism_file, "--deterministic", "false")
         assert code == 0
-        assert report_dict(out)["elapsed-ms"] != "-"
+        assert re.fullmatch(r"\d+\.\d", report_dict(out)["elapsed-ms"])
 
     @pytest.mark.parametrize(
         "value, code, err",
@@ -442,6 +444,7 @@ GOLDEN_FILES = {
         "vertices: 1 2 3 4 5 a\n1 2\n2 3\n3 4\n4 5\n1 5\n"
         "1 a\n2 a\n3 a\n4 a\n5 a\n"
     ),
+    "c10.graph": "".join(f"{i} {i % 10 + 1}\n" for i in range(1, 11)),
     "c11.graph": "".join(f"{i} {i % 11 + 1}\n" for i in range(1, 12)),
     "tree.graph": "vertices: 1 2 3 4\n1 2\n2 3\n2 4\n",
 }
@@ -802,6 +805,20 @@ wordrep: error: argument cmd: invalid choice: 'frobnicate' (choose from 'build',
         2,
         "",
         """error: graph has 11 vertices; repnum runs an exhaustive search and supports at most 10
+""",
+    ),
+    "find-bound": (
+        ["find", "--graph", "c11.graph", "--k", "2"],
+        2,
+        "",
+        """error: graph has 11 vertices; find runs an exhaustive search and supports at most 10
+""",
+    ),
+    "orient-bound": (
+        ["orient", "--graph", "c10.graph"],
+        2,
+        "",
+        """error: graph has 10 vertices; orient runs an exhaustive search and supports at most 9
 """,
     ),
     "find-k0": (

@@ -128,9 +128,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_family("unknown", 3)
 
-    def test_empty_complete_rejected(self):
-        with pytest.raises(ValueError, match="complete family needs size >= 1, got 0"):
-            build_family("complete", 0)
+    @pytest.mark.parametrize(
+        "family, least",
+        [("complete", 1), ("path", 1), ("ladder", 1), ("crown", 1), ("cycle", 3), ("prism", 3)],
+    )
+    def test_size_below_family_minimum_rejected(self, family, least):
+        msg = f"{family} family needs size >= {least}, got {least - 1}"
+        with pytest.raises(ValueError, match=msg):
+            build_family(family, least - 1)
+        assert build_family(family, least).n >= least
 
     @pytest.mark.parametrize(
         "family, size",
