@@ -120,7 +120,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_repnum(args: argparse.Namespace) -> int:
     from .search import WITNESS_FOUND, representation_number
-    from .words import format_word
+    from .words import Word, format_word
 
     g = _bounded_graph(args, SEARCH_VERTEX_BOUND)
     res = representation_number(g, args.max_k)
@@ -132,7 +132,7 @@ def cmd_repnum(args: argparse.Namespace) -> int:
         ("inputs", _digest(format_graph(g))),
         ("status", res.status),
         ("rep-number", str(res.rep_number) if res.rep_number else "-"),
-        ("witness", format_word(res.witness) if res.witness else "-"),
+        ("witness", format_word(res.witness) if isinstance(res.witness, Word) else "-"),
         *((key, f"{cert.status} nodes={cert.nodes_explored}") for key, cert in certs),
         ("nodes", str(res.nodes_explored)),
         ("elapsed-ms", _ms(res.elapsed_ms, args.deterministic)),

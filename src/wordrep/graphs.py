@@ -85,7 +85,13 @@ class Graph:
     __slots__ = ("labels", "adj")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        labs = tuple(validate_label(l) for l in labels)
+        labs = tuple(labels)
+        try:
+            text = " ".join(labs)
+        except TypeError:  # a non-string label: take the slow pass below
+            text = "#"
+        if "#" in text or "->" in labs or text.split() != list(labs):
+            list(map(validate_label, labs))  # raises, naming the first bad label
         if len(set(labs)) != len(labs):
             seen: set[str] = set()
             dup = next(l for l in labs if l in seen or seen.add(l))
@@ -93,16 +99,22 @@ class Graph:
         index = {l: i for i, l in enumerate(labs)}
         adj = [0] * len(labs)
         for a, b in edges:
-            for tok in (a, b):
-                if tok not in index:
-                    raise ValueError(f"edge endpoint {tok!r} is not a vertex")
-            i, j = index[a], index[b]
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise ValueError(f"edge endpoint {a if i is None else b!r} is not a vertex")
             if i == j:
                 raise ValueError(f"loop at {a!r} not allowed")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.labels = labs
         self.adj = tuple(adj)
+
+    @classmethod
+    def _from_masks(cls, labels: tuple[str, ...], adj: Sequence[int]) -> "Graph":
+        # checks nothing: labels must be valid and distinct, masks symmetric and loop-free
+        g = cls.__new__(cls)
+        g.labels, g.adj = labels, tuple(adj)
+        return g
 
     @property
     def n(self) -> int:
@@ -152,11 +164,13 @@ class Graph:
         # value equality: same vertex set and same edge set, label order ignored
         if not isinstance(other, Graph):
             return NotImplemented
+        if self.labels == other.labels:
+            return self.adj == other.adj
         if set(self.labels) != set(other.labels):
             return False
-        mine = {frozenset(e) for e in self.edges()}
-        theirs = {frozenset(e) for e in other.edges()}
-        return mine == theirs
+        pos = [other.labels.index(l) for l in self.labels]
+        mine = (sum(1 << pos[j] for j in iter_bits(m)) for m in self.adj)
+        return all(m == other.adj[p] for m, p in zip(mine, pos))
 
     def __hash__(self) -> int:
         return hash((frozenset(self.labels), frozenset(frozenset(e) for e in self.edges())))

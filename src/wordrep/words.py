@@ -7,7 +7,6 @@ stored as a tuple of label tokens with a derived occurrence map.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, VerificationError
@@ -110,31 +109,35 @@ def alternates(w: Word, x: str, y: str) -> bool:
     return _merged_alternates(w.occurrences(x), w.occurrences(y))
 
 
+def _alternation_masks(w: Word, labels: Sequence[str]) -> list[int]:
+    """Adjacency masks of w's alternation graph, indexed in the order of labels."""
+    occ = [w._occ[x] for x in labels]
+    adj = [0] * len(occ)
+    for i, px in enumerate(occ):
+        for j in range(i + 1, len(occ)):
+            if _merged_alternates(px, occ[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
 def derive_graph(w: Word) -> Graph:
-    """Graph on w's alphabet with edges exactly between alternating letter pairs."""
-    labs = w.alphabet
-    edges = [
-        (x, y)
-        for x, y in combinations(labs, 2)
-        if _merged_alternates(w._occ[x], w._occ[y])
-    ]
-    return Graph(labs, edges)
+    """w's alternation graph on w.alphabet, in that order, built from its masks unchecked."""
+    return Graph._from_masks(w.alphabet, _alternation_masks(w, w.alphabet))
 
 
 def represents(w: Word, g: Graph) -> bool:
     """True when w's alternation graph equals g.
 
     The word's alphabet must equal the vertex set exactly; any difference is
-    rejected, naming the offending labels.
+    rejected, naming the offending labels.  No graph is built: w's alternation
+    masks, taken in g's vertex order, are compared with g.adj.
     """
     ws, gs = set(w.alphabet), set(g.labels)
     if ws != gs:
-        only_g = sorted(gs - ws)
-        only_w = sorted(ws - gs)
-        raise ValueError(
-            f"alphabet mismatch: only in graph {only_g}, only in word {only_w}"
-        )
-    return derive_graph(w) == g
+        only_g, only_w = sorted(gs - ws), sorted(ws - gs)
+        raise ValueError(f"alphabet mismatch: only in graph {only_g}, only in word {only_w}")
+    return tuple(_alternation_masks(w, g.labels)) == g.adj
 
 
 def uniformity(w: Word) -> UniformityProfile:

@@ -189,6 +189,17 @@ class TestRepnum:
         if code == 0:
             assert report_dict(out)["elapsed-ms"] == "-"
 
+    def test_empty_graph_prints_empty_witness(self, capsys, tmp_path):
+        # the empty word is a witness, as `find --k 1` prints it
+        g = tmp_path / "empty.graph"
+        g.write_text("vertices:\n")
+        code, out, _ = run(capsys, "repnum", "--graph", str(g))
+        rep = report_dict(out)
+        assert code == 0 and (rep["status"], rep["rep-number"]) == ("witness-found", "1")
+        assert "witness: \n" in out and rep["witness"] == ""
+        _, found, _ = run(capsys, "find", "--k", "1", "--graph", str(g))
+        assert report_dict(found)["witness"] == ""
+
     def test_oversized_graph_refused(self, capsys, tmp_path):
         g = tmp_path / "big.txt"
         g.write_text(format_graph(build_family("complete", 11)))

@@ -59,18 +59,46 @@ class TestGraphBasics:
                     assert validate_label(label) == label
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            Graph(["has space"], [])
-        with pytest.raises(ValueError):
-            Graph([""], [])
-        with pytest.raises(ValueError):
-            Graph(["x#1"], [])
+        # the first bad label or endpoint is named, in validate_label's words
+        cases = [
+            (["has space"], [], "label 'has space' contains whitespace"),
+            ([""], [], "empty label"),
+            (["a", "b c", ""], [], "label 'b c' contains whitespace"),
+            (["ok", 5], [], "label must be a string, got int"),
+            (["->"], [], "label '->' is reserved"),
+            (["x#1"], [], "label 'x#1' contains '#'"),
+            (["a", "a"], [], "duplicate vertex label 'a'"),
+            (["a", "b"], [("y", "z")], "edge endpoint 'y' is not a vertex"),
+            (["a", "b"], [("a", "z")], "edge endpoint 'z' is not a vertex"),
+        ]
+        for labels, edges, message in cases:
+            with pytest.raises(ValueError) as exc:
+                Graph(labels, edges)
+            assert str(exc.value) == message
 
     def test_equality_ignores_declaration_order(self):
         g1 = Graph(["a", "b"], [("a", "b")])
         g2 = Graph(["b", "a"], [("b", "a")])
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1.__eq__(1) is NotImplemented and (g1 == 1) is False
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equality_and_hash_match_edge_sets(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 8))
+        labs = list(g.labels)
+        rng.shuffle(labs)
+        pairs = list(combinations(g.labels, 2))
+        for order in (g.labels, labs):
+            copy = Graph(order, [(b, a) for a, b in g.edges()])
+            assert copy == g and g == copy and hash(copy) == hash(g)
+            kept, absent = g.edges(), [p for p in pairs if not g.has_edge(*p)]
+            if kept and absent:
+                kept.remove(rng.choice(kept))
+                moved = Graph(order, kept + [rng.choice(absent)])
+                assert graph_edge_set(moved) != graph_edge_set(g)
+                assert moved != g and g != moved
+        assert g != Graph(labs[:-1], []) and g != Graph(labs[:-1] + ["new"], [])
 
     def test_neighbors_and_degree(self):
         g = build_family("path", 3)

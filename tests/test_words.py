@@ -20,7 +20,21 @@ from wordrep import (
     reverse,
     uniformity,
 )
-from oracles import graph_edge_set, naive_alternates, naive_edge_set, random_uniform_word
+from oracles import (
+    graph_edge_set,
+    naive_alternates,
+    naive_edge_set,
+    naive_represents,
+    random_uniform_word,
+)
+
+
+def seeded_letters(rng):
+    """A shuffled word on up to 7 letters, each occurring one to three times."""
+    alphabet = [f"v{i}" for i in range(rng.randint(1, 7))]
+    letters = [x for x in alphabet for _ in range(rng.randint(1, 3))]
+    rng.shuffle(letters)
+    return letters
 
 
 # Strategy: uniform words as shuffled multisets over a small alphabet.
@@ -172,12 +186,34 @@ class TestDeriveGraph:
     def test_matches_naive_oracle(self, w):
         assert graph_edge_set(derive_graph(w)) == naive_edge_set(w.letters)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_follow_alphabet(self, seed):
+        w = Word(seeded_letters(random.Random(seed)))
+        derived = derive_graph(w)
+        assert derived.labels == w.alphabet
+        assert derived == Graph(w.alphabet, derived.edges())
+
 
 class TestRepresents:
     def test_non_alternating_pair(self):
         k2 = Graph(["1", "2"], [("1", "2")])
         assert represents(parse_word("1122"), k2) is False
         assert represents(parse_word("1212"), k2) is True
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_naive_oracle(self, seed):
+        # the target's labels are shuffled; every other case flips one edge
+        rng = random.Random(seed)
+        letters = seeded_letters(rng)
+        labs = sorted(set(letters))
+        rng.shuffle(labs)
+        edges = naive_edge_set(letters)
+        if seed % 2 and len(labs) > 1:
+            edges ^= {frozenset(rng.sample(labs, 2))}
+        target = Graph(labs, [tuple(e) for e in edges])
+        expect = naive_represents(letters, target)
+        assert expect == (seed % 2 == 0 or len(labs) == 1)
+        assert represents(Word(letters), target) is expect
 
     def test_alphabet_mismatch_names_difference(self):
         k2 = Graph(["1", "2"], [("1", "2")])
