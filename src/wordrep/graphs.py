@@ -168,12 +168,17 @@ class Graph:
             return self.adj == other.adj
         if set(self.labels) != set(other.labels):
             return False
-        pos = [other.labels.index(l) for l in self.labels]
-        mine = (sum(1 << pos[j] for j in iter_bits(m)) for m in self.adj)
-        return all(m == other.adj[p] for m, p in zip(mine, pos))
+        return self._adj_in(other.labels) == other.adj
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.labels), frozenset(frozenset(e) for e in self.edges())))
+        order = tuple(sorted(self.labels))
+        return hash((order, self._adj_in(order)))
+
+    def _adj_in(self, order: Sequence[str]) -> tuple[int, ...]:
+        # adj re-indexed to order, a permutation of labels
+        pos = [order.index(l) for l in self.labels]
+        moved = (sum(1 << pos[j] for j in iter_bits(m)) for m in self.adj)
+        return tuple(m for _, m in sorted(zip(pos, moved)))
 
     def __repr__(self) -> str:
         return f"Graph({self.n} vertices, {self.edge_count} edges)"

@@ -3,7 +3,7 @@
 Every search returns a Certificate: either a witness that has been re-checked
 by an independent oracle (represents, transitivity, realizer intersection) or
 an exhaustion claim covering the whole space under the documented symmetry
-reductions.
+reductions; a transitive orientation is refuted by Golumbic's theorem instead.
 """
 
 from __future__ import annotations
@@ -226,61 +226,50 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
 
 
 def find_transitive_orientation(g: Graph) -> Certificate:
-    """Search for a transitive orientation (comparability recognition).
+    """Find a transitive orientation by Golumbic's TRO decomposition.
 
-    Backtracks over undirected edges, trying both directions with unit
-    propagation: setting a->b forces x->b for every x->a and a->y for every
-    b->y, failing when a forced pair is non-adjacent or already directed the
-    other way.  The partial orientation is its out- and in-neighbour masks;
-    an edge is open while neither mask directs it.  They are the arguments
-    of a node's call, and each direction propagates into its own copies, so
-    nothing is undone on return.
+    Arc ab forces ac when bc is a non-edge, and cb when ac is a non-edge
+    (Gamma-forcing); an arc's implication class is its closure.  The first
+    edge left in index order is oriented i -> j, its class is closed in the
+    graph of the edges left, and its edges leave.  By Golumbic (Algorithmic
+    Graph Theory and Perfect Graphs, 1980, Thm 5.4) g is a comparability
+    graph exactly when no class holds an arc both ways, and then the union
+    of the classes is transitive, so nothing backtracks.  nodes_explored
+    counts the arcs placed in a class.
     """
     from .orientations import Orientation, is_transitive
 
     t0 = time.perf_counter()
     n = g.n
-    adj = g.adj
     query = f"transitive-orientation n={n} m={g.edge_count}"
-    edges = [(i, j) for i in range(n) for j in iter_bits(adj[i]) if i < j]
+    left = list(g.adj)
+    out = [0] * n
     nodes = 0
-
-    def set_arc(out: list[int], inn: list[int], a: int, b: int) -> bool:
-        if (out[a] | inn[a]) >> b & 1:
-            return bool(out[a] >> b & 1)
-        out[a] |= 1 << b
-        inn[b] |= 1 << a
-        for x in iter_bits(inn[a]):
-            if not adj[x] >> b & 1 or not set_arc(out, inn, x, b):
-                return False
-        for y in iter_bits(out[b]):
-            if not adj[a] >> y & 1 or not set_arc(out, inn, a, y):
-                return False
-        return True
-
-    def solve(out: list[int], inn: list[int]) -> list[int] | None:
-        nonlocal nodes
-        for i, j in edges:
-            if not (out[i] >> j | out[j] >> i) & 1:
-                break
-        else:
-            return out
-        for a, b in ((i, j), (j, i)):
-            kid_out, kid_inn = out.copy(), inn.copy()
-            nodes += 1
-            if set_arc(kid_out, kid_inn, a, b):
-                found = solve(kid_out, kid_inn)
-                if found is not None:
-                    return found
-        return None
-
-    out = solve([0] * n, [0] * n)
-    if out is not None:
-        d = Orientation.from_masks(g, out)
-        if not is_transitive(d):
-            raise VerificationError("completed orientation is not transitive")
-        return Certificate(query, WITNESS_FOUND, d, nodes, _ms(t0))
-    return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not left[i] >> j & 1:
+                continue
+            cls = [0] * n
+            cls[i] = 1 << j
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                nodes += 1
+                forced = [(a, c) for c in iter_bits(left[a] & ~left[b] & ~(1 << b))]
+                forced += [(c, b) for c in iter_bits(left[b] & ~left[a] & ~(1 << a))]
+                for x, y in forced:
+                    if not cls[x] >> y & 1:
+                        cls[x] |= 1 << y
+                        stack.append((x, y))
+            inn = in_masks(cls)
+            if any(o & m for o, m in zip(cls, inn)):
+                return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
+            out = [o | c for o, c in zip(out, cls)]
+            left = [m & ~(c | r) for m, c, r in zip(left, cls, inn)]
+    d = Orientation.from_masks(g, out)
+    if not is_transitive(d):
+        raise VerificationError("completed orientation is not transitive")
+    return Certificate(query, WITNESS_FOUND, d, nodes, _ms(t0))
 
 
 def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
@@ -340,10 +329,10 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     """Search for k vertex permutations whose concatenation represents g.
 
     Such a family exists exactly when g has a transitive orientation whose
-    poset dimension is at most k; the dimension does not depend on which
-    transitive orientation is chosen, so a too-large dimension means honest
-    exhaustion.  A realizer smaller than k is padded by repeating its own
-    orders from the start, which leaves the intersection unchanged.
+    poset dimension is at most k.  Golumbic's theorem refutes comparability,
+    and the dimension does not depend on the orientation chosen, so each
+    "exhausted" is a proof.  A realizer smaller than k is padded by repeating
+    its own orders from the start, which leaves the intersection unchanged.
     """
     from .orientations import Orientation
 

@@ -82,6 +82,15 @@ class TestGraphBasics:
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1.__eq__(1) is NotImplemented and (g1 == 1) is False
 
+    def test_hash_builds_no_edge_list(self, monkeypatch):
+        def no_edges(self):
+            raise AssertionError("hash built an edge list")
+
+        monkeypatch.setattr(Graph, "edges", no_edges)
+        g1 = Graph(["c", "a", "b"], [("a", "b"), ("b", "c")])
+        g2 = Graph(["a", "b", "c"], [("c", "b"), ("b", "a")])
+        assert hash(g1) == hash(g2)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_equality_and_hash_match_edge_sets(self, seed):
         rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -308,8 +309,8 @@ class TestTransitiveOrientationSearch:
         "family, size, status, arcs, nodes",
         [
             ("complete", 4, WITNESS_FOUND, "1>2 1>3 1>4 2>3 2>4 3>4", 6),
-            ("cycle", 5, EXHAUSTED, None, 18),
-            ("cycle", 6, WITNESS_FOUND, "1>2 1>6 3>2 3>4 5>4 5>6", 8),
+            ("cycle", 5, EXHAUSTED, None, 10),
+            ("cycle", 6, WITNESS_FOUND, "1>2 1>6 3>2 3>4 5>4 5>6", 6),
             (
                 "crown", 4, WITNESS_FOUND,
                 "1>2' 1>3' 1>4' 2>1' 2>3' 2>4' 3>1' 3>2' 3>4' 4>1' 4>2' 4>3'",
@@ -331,8 +332,45 @@ class TestTransitiveOrientationSearch:
         certs = [
             find_transitive_orientation(random_graph(rng, 7 + i % 3)) for i in range(300)
         ]
-        assert sum(c.nodes_explored for c in certs) == 16323
+        assert sum(c.nodes_explored for c in certs) == 6503
         assert sum(c.status == WITNESS_FOUND for c in certs) == 149
+
+    def test_witness_digest_up_to_six_vertices(self):
+        # sha256 of every (status, arcs) on the 33,868 labelled graphs with at
+        # most six vertices, as the edge-branching search gave them
+        h = hashlib.sha256()
+        for g in (g for n in range(7) for g in every_graph(n)):
+            cert = find_transitive_orientation(g)
+            arcs = None if cert.witness is None else cert.witness.arcs()
+            h.update(repr((cert.status, arcs)).encode())
+        want = "bf6fcae0c5bbb49b22ca8e734503b650de32081c1a3883e323a16dfe79641d52"
+        assert h.hexdigest() == want
+
+    def test_crown_forty(self):
+        # 80 vertices and 1,560 edges: each edge is placed once, in one class
+        g = build_family("crown", 40)
+        start = time.perf_counter()
+        cert = find_transitive_orientation(g)
+        assert time.perf_counter() - start < 0.5
+        assert cert.status == WITNESS_FOUND and is_transitive(cert.witness)
+        assert cert.nodes_explored == g.edge_count == 1560
+
+    def test_two_dimensional_poset_plus_five_cycle(self):
+        # the comparability graph of a 60-element poset of dimension 2 has a
+        # transitive orientation; the disjoint C5's class holds its arcs both ways
+        rng = random.Random(0)
+        second = rng.sample(range(60), 60)
+        labels = [f"p{i}" for i in range(60)] + [f"c{i}" for i in range(5)]
+        edges = [
+            (f"p{i}", f"p{j}")
+            for i, j in combinations(range(60), 2)
+            if second[i] < second[j]
+        ]
+        edges += [(f"c{i}", f"c{(i + 1) % 5}") for i in range(5)]
+        g = Graph(labels, edges)
+        cert = find_transitive_orientation(g)
+        assert cert.status == EXHAUSTED and cert.witness is None
+        assert cert.nodes_explored == g.edge_count + 5 == 903
 
     def test_status_matches_oracle_up_to_five_vertices(self):
         # every labelled graph on at most five vertices, both sides of the answer
