@@ -115,7 +115,7 @@ class ShortcutWitness(NamedTuple):
 def is_shortcut_witness(d: Orientation, w: ShortcutWitness) -> bool:
     """Re-check a witness from scratch against the orientation."""
     p = w.path
-    if len(p) < 4 or len(set(p)) != len(p):
+    if len(p) < 4 or len(set(p)) != len(p) or not all(map(d.base.has_vertex, p)):
         return False
     if any(not d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)):
         return False
@@ -177,56 +177,51 @@ def orient_by_order(g: Graph, order: Sequence[str]) -> Orientation:
     return Orientation(g, arcs)
 
 
-def _is_clique(adj: Sequence[int], mask: int) -> bool:
-    for a in iter_bits(mask):
-        if mask & ~adj[a] & ~(1 << a):
-            return False
-    return True
-
-
 def _shortcut_path(
-    adj: Sequence[int], out: Sequence[int], u: int, v: int, inside: int
+    adj: Sequence[int], out: Sequence[int], desc: Sequence[int], anc: Sequence[int],
+    u: int, v: int,
 ) -> list[int] | None:
-    """The first simple u->v path through `inside` that could be a shortcut.
+    """The first u->v path, in successor index order, whose vertices are not a clique.
 
-    `inside` is the interval of u->v: the vertices reachable from u that reach
-    v, where every such path runs.  When it has fewer than two vertices, or
-    spans a clique together with u and v, no path qualifies and the DFS is
-    skipped.  Successors are tried in index order; the path found has at
-    least four vertices and carries a non-adjacent pair.
+    With the arc u->v it is a shortcut (a non-adjacent pair needs four vertices).
+    After u, a u->v path runs in span = desc[u] & anc[v] | v, and x in span is
+    late when desc[x] & span holds a non-neighbour of x.  A prefix on the set
+    `on`, ending at y, extends to a u->v path that is no clique exactly when
+    (1) a vertex of `on` or of ahead = desc[y] & span is non-adjacent to one of
+    `on`, or (2) ahead holds a late vertex: a y-v path through it (and, for (2),
+    its non-neighbour) extends the prefix, simple as the digraph is acyclic.
+    Conversely, a non-adjacent pair a, b of an extension, a first, lies in the
+    prefix or has b ahead, which is (1), or has both ahead, with a late: (2).
+    So the walk tests [u], then steps to the least successor whose prefix still
+    extends (one does: the extension's next vertex), and reaches v on the
+    lexicographically least qualifying path, which a depth-first search over
+    successors in index order returns first.
     """
-    if inside.bit_count() < 2 or _is_clique(adj, inside | 1 << u | 1 << v):
-        return None
-    allowed = inside | 1 << v
-    path = [u]
-    on_path = 1 << u
-    untried = [out[u] & allowed & ~on_path]  # per path vertex, fixed on entry
-    while untried:
-        todo = untried[-1]
-        if not todo:
-            untried.pop()
-            on_path ^= 1 << path.pop()
-            continue
-        low = todo & -todo
-        untried[-1] = todo ^ low
-        y = low.bit_length() - 1
-        if y == v:
-            if len(path) >= 3 and not _is_clique(adj, on_path | low):
-                return path + [v]
-        else:
-            path.append(y)
-            on_path |= low
-            untried.append(out[y] & allowed & ~on_path)
-    return None
+    span = desc[u] & anc[v] | 1 << v
+    late = sum(1 << x for x in iter_bits(span) if desc[x] & span & ~adj[x])
+    path: list[int] = []
+    on, common, step = 0, -1, 1 << u
+    while step:
+        for y in iter_bits(step):
+            on_y, common_y = on | 1 << y, common & (adj[y] | 1 << y)
+            ahead = desc[y] & span
+            if (on_y | ahead) & ~common_y or ahead & late:
+                break
+        else:  # only [u] can fail: the prefix before a step always extends
+            return None
+        path.append(y)
+        on, common, step = on_y, common_y, out[y] & span
+    return path
 
 
 def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     """Search the orientation for a shortcut.
 
     Cyclic input is rejected, quoting a directed cycle.  Arcs are scanned in
-    index order and each candidate arc u->v is checked by DFS over the simple
-    directed u-v paths inside its interval, built along the topological
-    order; the first path carrying a non-adjacent vertex pair is returned.
+    index order; for each arc u->v, `_shortcut_path` walks greedily, on the
+    ancestor and descendant masks built along the topological order, to the
+    first u-v path carrying a non-adjacent vertex pair.  The first one found is
+    returned, in polynomial time.
     """
     n = d.base.n
     adj = d.base.adj
@@ -246,7 +241,7 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
 
     for u in range(n):
         for v in iter_bits(out[u]):
-            path = _shortcut_path(adj, out, u, v, desc[u] & anc[v])
+            path = _shortcut_path(adj, out, desc, anc, u, v)
             if path is not None:
                 a, b = next((x, y) for x, y in combinations(path, 2) if not adj[x] >> y & 1)
                 return ShortcutWitness(tuple(labs[t] for t in path), (labs[a], labs[b]))

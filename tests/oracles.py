@@ -87,6 +87,33 @@ def naive_has_shortcut(d: Orientation, end: str | None = None) -> bool:
     return False
 
 
+def naive_first_shortcut(d: Orientation):
+    """The shortcut a scan in index order meets first, as (path, pair), or None.
+
+    Arcs u -> v are taken by (u, v) index, and the simple u-v paths of each in
+    lexicographic index order; pair is the path's first non-adjacent pair in
+    `combinations` order.
+    """
+    labels = d.base.labels
+
+    def paths(path, v):
+        if path[-1] == v:
+            yield path
+            return
+        for nxt in labels:
+            if nxt not in path and d.has_arc(path[-1], nxt):
+                yield from paths(path + [nxt], v)
+
+    for u, v in product(labels, repeat=2):
+        if not d.has_arc(u, v):
+            continue
+        for path in paths([u], v):
+            holes = [(a, b) for a, b in combinations(path, 2) if not d.base.has_edge(a, b)]
+            if len(path) >= 4 and holes:
+                return tuple(path), holes[0]
+    return None
+
+
 def naive_is_acyclic(labels, arcs) -> bool:
     """No vertex reaches itself: grow every reach set until none grows."""
     reach = {v: {b for a, b in arcs if a == v} for v in labels}

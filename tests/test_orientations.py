@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -30,7 +31,13 @@ from wordrep import (
 from wordrep import orientations
 from wordrep.orientations import _closes_shortcut, _semi_transitive_search
 from wordrep.search import WITNESS_FOUND
-from oracles import every_graph, naive_has_shortcut, naive_is_acyclic, random_graph
+from oracles import (
+    every_graph,
+    naive_first_shortcut,
+    naive_has_shortcut,
+    naive_is_acyclic,
+    random_graph,
+)
 
 
 @st.composite
@@ -208,6 +215,7 @@ class TestFindShortcut:
             (("1", "2", "3", "4", "5"), ("1", "2")),  # an adjacent pair
             (("1", "2", "3", "4", "5"), ("2", "6")),  # 6 is off the path
             (("1", "2", "3", "4", "5"), ("1", "1")),  # not a pair
+            (("1", "2", "x", "5"), ("1", "5")),  # x is not a vertex
         ],
     )
     def test_bad_witness_rejected(self, shortcut_digraph, path, pair):
@@ -271,6 +279,52 @@ class TestFindShortcut:
         assert (got is not None) == naive_has_shortcut(d)
         if got is not None:
             assert is_shortcut_witness(d, got)
+        assert got == naive_first_shortcut(d)
+
+    def test_witness_digest(self):
+        # sha256 of every witness repr over 20,000 seeded orientations, pinned
+        # from a depth-first search over every path of each arc's interval
+        rng = random.Random(5)
+        digest = hashlib.sha256()
+        found = 0
+        for _ in range(20000):
+            n = rng.randint(2, 11)
+            g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8, 0.9)))
+            order = list(g.labels)
+            rng.shuffle(order)
+            w = find_shortcut(orient_by_order(g, order))
+            found += w is not None
+            digest.update(repr(w).encode())
+        assert found == 8712
+        assert digest.hexdigest()[:16] == "bba445640ad3c5b1"
+
+    @staticmethod
+    def cocktail_party(m, drop=()):
+        """K_{2 x m} directed along its labels 0a 0b 1a 1b ..., less the `drop` edges."""
+        labels = [f"{i}{s}" for i in range(m) for s in "ab"]
+        edges = [
+            (a, b)
+            for a, b in combinations(labels, 2)
+            if a[:-1] != b[:-1] and (a, b) not in drop
+        ]
+        return orient_by_order(Graph(labels, edges), labels)
+
+    def test_transitive_cocktail_party_in_polynomial_time(self):
+        # most intervals of this transitive orientation are not cliques, yet
+        # every path through one is: enumerating the paths takes exponential time
+        d = self.cocktail_party(20)
+        assert d.base.n == 40 and d.arc_count() == 760
+        start = time.perf_counter()
+        assert find_shortcut(d) is None
+        assert is_semi_transitive(d)
+        assert time.perf_counter() - start < 0.5
+
+    def test_cocktail_party_less_one_edge(self):
+        d = self.cocktail_party(20, drop=[("0a", "2a")])
+        start = time.perf_counter()
+        w = find_shortcut(d)
+        assert time.perf_counter() - start < 0.5
+        assert w == (("0a", "1a", "2a", "3a"), ("0a", "2a"))
 
 
 def _descendant_masks(adj, order):
@@ -404,7 +458,7 @@ class TestSemiTransitiveSearch:
         assert hashlib.sha256(arcs.encode()).hexdigest()[:16] == "b991dab95b57e0b0"
 
     def test_search_runs_no_walk_and_no_path_dfs(self, monkeypatch):
-        # the goldens above, with the shortcut-path DFS made to fail: the
+        # the goldens above, with find_shortcut's path walk made to fail: the
         # search decides from its ancestor and descendant masks alone
         def boom(*args):
             raise AssertionError("walk or DFS called")
