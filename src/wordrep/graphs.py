@@ -12,24 +12,39 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
+_RESERVED = frozenset(("->", "vertices:"))  # tokens of the text formats
+
 
 def validate_label(label: object) -> str:
-    """Return the label if it is a valid vertex token.
-
-    Labels are non-empty strings without whitespace.  '#' is rejected and the
-    token '->' is reserved so labels survive the graph/orientation text formats.
-    """
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {type(label).__name__}")
-    if not label:
-        raise ValueError("empty label")
-    if label.split() != [label]:
-        raise ValueError(f"label {label!r} contains whitespace")
-    if "#" in label:
-        raise ValueError(f"label {label!r} contains '#'")
-    if label == "->":
-        raise ValueError("label '->' is reserved")
+    """Return the label if it is a valid vertex token (see check_labels)."""
+    check_labels((label,))
     return label
+
+
+def check_labels(labels: Sequence[object]) -> None:
+    """Raise ValueError naming the first bad label, if there is one.
+
+    Labels are non-empty strings without whitespace or '#', and '->' and
+    'vertices:' are reserved, so labels survive the text formats.  One join
+    and one split test every label; only a fault walks them one by one.
+    """
+    try:
+        text = " ".join(labels)
+    except TypeError:  # a non-string label
+        text = "#"
+    if "#" not in text and text.split() == list(labels) and _RESERVED.isdisjoint(labels):
+        return
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {type(label).__name__}")
+        if not label:
+            raise ValueError("empty label")
+        if label.split() != [label]:
+            raise ValueError(f"label {label!r} contains whitespace")
+        if "#" in label:
+            raise ValueError(f"label {label!r} contains '#'")
+        if label in _RESERVED:
+            raise ValueError(f"label {label!r} is reserved")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -86,18 +101,14 @@ class Graph:
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labs = tuple(labels)
-        try:
-            text = " ".join(labs)
-        except TypeError:  # a non-string label: take the slow pass below
-            text = "#"
-        if "#" in text or "->" in labs or text.split() != list(labs):
-            list(map(validate_label, labs))  # raises, naming the first bad label
-        if len(set(labs)) != len(labs):
+        check_labels(labs)
+        n = len(labs)
+        index = dict(zip(labs, range(n)))
+        if len(index) != n:
             seen: set[str] = set()
             dup = next(l for l in labs if l in seen or seen.add(l))
             raise ValueError(f"duplicate vertex label {dup!r}")
-        index = {l: i for i, l in enumerate(labs)}
-        adj = [0] * len(labs)
+        adj = [0] * n
         for a, b in edges:
             i, j = index.get(a), index.get(b)
             if i is None or j is None:
@@ -140,11 +151,15 @@ class Graph:
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as label pairs, ordered by vertex index."""
-        out = []
-        for i in range(self.n):
-            row = self.adj[i] >> (i + 1) << (i + 1)
-            for j in iter_bits(row):
-                out.append((self.labels[i], self.labels[j]))
+        labels, out = self.labels, []
+        for i, m in enumerate(self.adj):
+            m >>= i + 1  # the neighbours after i, shifted so that bit 0 is i + 1
+            j = i
+            while m:
+                step = (m & -m).bit_length()  # from the last neighbour j to the next
+                j += step
+                m >>= step
+                out.append((labels[i], labels[j]))
         return out
 
     @property
@@ -152,8 +167,7 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
     def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self.adj[i] == full ^ (1 << i) for i in range(self.n))
+        return self.edge_count * 2 == self.n * (self.n - 1)
 
     def relabel(self, mapping: dict[str, str]) -> "Graph":
         """New graph with labels replaced per mapping (missing keys keep their label)."""
@@ -186,10 +200,6 @@ class Graph:
 
 def _canon(n: int) -> list[str]:
     return [str(i) for i in range(1, n + 1)]
-
-
-def _primed(n: int) -> list[str]:
-    return [f"{i}'" for i in range(1, n + 1)]
 
 
 # Fixed labelling: outer cycle 1..5, spokes i-(i+5), inner pentagram on 6..10.
@@ -233,7 +243,8 @@ def build_family(family: str, size: int) -> Graph:
     if fam == "cycle":
         labs = _canon(n)
         return Graph(labs, zip(labs, labs[1:] + labs[:1]))
-    plain, primed = _canon(n), _primed(n)
+    plain = _canon(n)
+    primed = [f"{l}'" for l in plain]
     if fam in ("ladder", "prism"):
         edges = [*zip(plain, plain[1:]), *zip(primed, primed[1:]), *zip(plain, primed)]
         if fam == "prism":
@@ -246,7 +257,6 @@ def build_family(family: str, size: int) -> Graph:
 
 def add_apex(g: Graph, label: str) -> Graph:
     """Add a new vertex adjacent to every existing vertex."""
-    validate_label(label)
     if g.has_vertex(label):
         raise ValueError(f"vertex {label!r} already present")
     return Graph(g.labels + (label,), g.edges() + [(label, v) for v in g.labels])
@@ -360,45 +370,45 @@ def _read_pairs(
 ) -> tuple[list[str], list[tuple[int, str, str]]]:
     """Read the line format shared by graph and orientation text.
 
-    '#' starts a comment.  An optional ``vertices: tok tok ...`` header, before
-    any other line, fixes the vertices and their order; without it, vertices
-    are the tokens in first-use order.  ``split(line)`` returns the two tokens
-    of every other line or raises ValueError.  Returns the labels and the
-    ``(line, a, b)`` pairs; every error is a ParseError naming its line.
+    '#' starts a comment.  An optional header, a line whose first token is
+    ``vertices:``, fixes the vertices and their order before any other line;
+    without it, vertices are the tokens in first-use order.  ``split(line)``
+    returns the two tokens of every other line or raises ValueError.  Returns
+    the labels and the ``(line, a, b)`` pairs; every error is a ParseError
+    naming its line.
     """
-    header: list[str] | None = None
-    order: list[str] = []
-    seen: set[str] = set()
+    header = False
+    order: dict[str, None] = {}  # the vertices, in header or first-use order
     pairs: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            if line.startswith("vertices:"):
-                if header is not None:
+            if line.split(None, 1)[0] == "vertices:":
+                if header:
                     raise ValueError("duplicate vertices header")
                 if pairs:
                     raise ValueError("vertices header must precede edges")
-                toks = line[len("vertices:"):].split()
-                if len(set(toks)) != len(toks):
+                toks = line.split()[1:]
+                order = dict.fromkeys(toks)
+                if len(order) != len(toks):
                     raise ValueError("duplicate vertex in header")
-                header = [validate_label(t) for t in toks]
-                seen = set(header)
+                check_labels(toks)
+                header = True
                 continue
             a, b = split(line)
             if a == b:
                 raise ValueError(f"loop edge at {a!r}")
             for tok in (a, b):
-                if tok not in seen:
-                    if header is not None:
+                if tok not in order:
+                    if header:
                         raise ValueError(f"vertex {tok!r} not in header")
-                    seen.add(validate_label(tok))
-                    order.append(tok)
+                    order[validate_label(tok)] = None
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         pairs.append((lineno, a, b))
-    return (order if header is None else header), pairs
+    return list(order), pairs
 
 
 def _split_edge(line: str) -> list[str]:
@@ -422,5 +432,5 @@ def parse_graph(text: str) -> Graph:
 def format_graph(g: Graph) -> str:
     """Serialize a graph to its text format (round-trips through parse_graph)."""
     lines = ["vertices: " + " ".join(g.labels)]
-    lines.extend(f"{a} {b}" for a, b in g.edges())
+    lines.extend(a + " " + b for a, b in g.edges())
     return "\n".join(lines) + "\n"

@@ -125,7 +125,6 @@ def add_leaf(w: Word, x: str, y: str) -> Word:
         raise ValueError(f"vertex {x!r} does not occur in the word")
     if y in w.alphabet:
         raise ValueError(f"label {y!r} is already taken")
-    validate_label(y)
     target = _union(derive_graph(w), Graph([x, y], [(x, y)]))
     return _verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
 
@@ -226,7 +225,6 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
         kept = (set(w1.alphabet) - {x}) | (set(w2.alphabet) - {y})
         if z in kept:
             raise ValueError(f"merged label {z!r} collides with a kept vertex")
-        validate_label(z)
         target = _union(g1.relabel({x: z}), g2.relabel({y: z}))
         result = _glue_words(w1.letters, w2.letters, x, y, z)
     return _verified(result, target, "combine")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, VerificationError
-from .graphs import Graph, validate_label
+from .graphs import Graph, check_labels
 
 
 class Word:
@@ -25,16 +25,16 @@ class Word:
     def __init__(self, letters: Iterable[str]):
         lets = tuple(letters)
         occ: dict[str, list[int]] = {}
-        for i, t in enumerate(lets):
-            # a label is validated at its first occurrence only; the type test
-            # comes first because a non-string token may be unhashable
-            ps = occ.get(t) if isinstance(t, str) else None
-            if ps is None:
-                occ[validate_label(t)] = [i]
-            else:
-                ps.append(i)
+        try:
+            for i, t in enumerate(lets):
+                occ.setdefault(t, []).append(i)
+        except TypeError:  # an unhashable letter: check every letter, in word order
+            alphabet = lets
+        else:
+            alphabet = tuple(occ)
+        check_labels(alphabet)  # its first bad letter is the word's first bad letter
         self.letters = lets
-        self.alphabet = tuple(occ)
+        self.alphabet = alphabet
         self._occ = {t: tuple(ps) for t, ps in occ.items()}
 
     def occurrences(self, label: str) -> tuple[int, ...]:
@@ -143,9 +143,7 @@ def represents(w: Word, g: Graph) -> bool:
 def uniformity(w: Word) -> UniformityProfile:
     """Occurrence profile; k is the common count when all letters agree, else None."""
     counts = tuple((t, len(w._occ[t])) for t in w.alphabet)
-    if not counts:
-        return UniformityProfile((), 0)
-    ks = {c for _, c in counts}
+    ks = {c for _, c in counts} or {0}  # the empty word is 0-uniform
     return UniformityProfile(counts, ks.pop() if len(ks) == 1 else None)
 
 
@@ -160,8 +158,7 @@ def cyclic_shift(w: Word, cut: int) -> Word:
     Only uniform words may be rotated: rotation preserves the derived graph
     exactly for them.  Non-uniform input is rejected.
     """
-    prof = uniformity(w)
-    if prof.k is None:
+    if uniformity(w).k is None:
         raise ValueError("cyclic shift requires a uniform word")
     if not 0 <= cut <= len(w):
         raise ValueError(f"cut must be in 0..{len(w)}, got {cut}")
@@ -179,8 +176,7 @@ def extend_uniform(w: Word) -> Word:
     Prepends the initial permutation; the result is re-verified against the
     original derived graph and a failure raises VerificationError.
     """
-    prof = uniformity(w)
-    if prof.k is None:
+    if uniformity(w).k is None:
         raise ValueError("extend_uniform requires a uniform word")
     if len(w) == 0:
         return w
@@ -192,10 +188,7 @@ def extend_uniform(w: Word) -> Word:
 
 def concat_orders(orders: Iterable[Sequence[str]]) -> Word:
     """Concatenate vertex orders into one word."""
-    letters: list[str] = []
-    for p in orders:
-        letters.extend(p)
-    return Word(letters)
+    return Word([x for p in orders for x in p])
 
 
 class _LinearOrderFamily(NamedTuple):
@@ -279,14 +272,12 @@ def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     is supplied and the whole string is one known label, it parses as that
     single letter.
     """
-    stripped = text.strip()
-    if not stripped:
+    toks = text.split()
+    if not toks:
         raise ParseError("empty word text")
-    if any(c.isspace() for c in stripped):
-        return Word(stripped.split())
-    if alphabet is not None and stripped in set(alphabet):
-        return Word([stripped])
-    return Word(_scan_contiguous(stripped))
+    if len(toks) > 1 or alphabet is not None and toks[0] in set(alphabet):
+        return Word(toks)
+    return Word(_scan_contiguous(toks[0]))
 
 
 def format_word(w: Word) -> str:

@@ -66,6 +66,8 @@ class TestGraphBasics:
             (["a", "b c", ""], [], "label 'b c' contains whitespace"),
             (["ok", 5], [], "label must be a string, got int"),
             (["->"], [], "label '->' is reserved"),
+            (["a", "vertices:"], [], "label 'vertices:' is reserved"),
+            (["a", "a", "b c"], [], "label 'b c' contains whitespace"),
             (["x#1"], [], "label 'x#1' contains '#'"),
             (["a", "a"], [], "duplicate vertex label 'a'"),
             (["a", "b"], [("y", "z")], "edge endpoint 'y' is not a vertex"),
@@ -75,6 +77,26 @@ class TestGraphBasics:
             with pytest.raises(ValueError) as exc:
                 Graph(labels, edges)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [*range(13), 250])
+    def test_edges_and_text_match_double_loop(self, n):
+        # n = 250 is a random tree; the labels are shuffled so that index
+        # order differs from label order
+        rng = random.Random(n)
+        labs = [str(i) for i in range(n)]
+        rng.shuffle(labs)
+        if n == 250:
+            drawn = [{frozenset((labs[rng.randrange(i)], labs[i])) for i in range(1, n)}]
+        else:
+            pairs = [frozenset(p) for p in combinations(labs, 2)]
+            drawn = [{e for e in pairs if rng.random() < p} for p in (0.2, 0.5, 0.9)]
+        for chosen in drawn:
+            g = Graph(labs, [tuple(e) for e in chosen])
+            want = [(a, b) for i, a in enumerate(labs) for b in labs[i + 1 :]
+                    if frozenset((a, b)) in chosen]
+            assert g.edges() == want
+            back = parse_graph(format_graph(g))
+            assert back == g and back.labels == g.labels
 
     def test_equality_ignores_declaration_order(self):
         g1 = Graph(["a", "b"], [("a", "b")])
@@ -361,6 +383,16 @@ class TestGraphText:
     def test_header_and_loop_errors(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_graph(text)
+
+    def test_label_starting_with_vertices_round_trips(self):
+        # only a line whose first token is exactly `vertices:` is a header
+        g = Graph(["vertices:1", "2"], [("vertices:1", "2")])
+        assert format_graph(g) == "vertices: vertices:1 2\nvertices:1 2\n"
+        assert parse_graph(format_graph(g)) == g
+        assert parse_graph("vertices:1 2\n") == g
+        assert parse_graph("vertices:\t2 vertices:1\n") == Graph(["2", "vertices:1"])
+        with pytest.raises(ParseError, match="line 1: label 'vertices:' is reserved"):
+            parse_graph("vertices: vertices: 2\n")
 
     @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
     def test_random_round_trip(self, n, rng):

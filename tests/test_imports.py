@@ -214,6 +214,15 @@ def test_no_long_source_line():
     assert long == []
 
 
+def test_source_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; feature_version is a
+    # best-effort guard, but it does reject 3.11 syntax such as except*
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(Path(SRC, "wordrep").glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
+
+
 def test_search_state_is_passed_down():
     # a search node's state is its call's arguments: a closure may rebind only
     # its node counter, so no kernel restores state on return

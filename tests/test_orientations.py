@@ -481,6 +481,12 @@ class TestOrientationText:
         d = exists_semi_transitive(g)
         assert parse_orientation(format_orientation(d)) == d
 
+    def test_label_starting_with_vertices_round_trips(self):
+        g = Graph(["vertices:1", "2"], [("vertices:1", "2")])
+        d = Orientation(g, [("vertices:1", "2")])
+        assert format_orientation(d) == "vertices: vertices:1 2\nvertices:1 -> 2\n"
+        assert parse_orientation(format_orientation(d)) == d
+
     def test_parse_error_line_numbers(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_orientation("vertices: 1 2\n1 -> 2\n2 -> 1\n")

@@ -65,10 +65,34 @@ class TestWordConstruction:
             (["a", ["x"], "a"], "must be a string, got list"),
             (["a", "", "#"], "empty label"),
             (["x", "y", "x", "->"], "'->' is reserved"),
+            (["x", "y", "x", "vertices:"], "'vertices:' is reserved"),
         ]
         for letters, message in cases:
             with pytest.raises(ValueError, match=message):
                 Word(letters)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", 5, "b c"], "label must be a string, got int"),
+            (["a", ["x"], ""], "label must be a string, got list"),
+            (["a", "", ["x"]], "empty label"),
+            (["a", "b\tc", 3], "label 'b\\tc' contains whitespace"),
+            (["a", "x#1", "->"], "label 'x#1' contains '#'"),
+            (["a", "->", "vertices:"], "label '->' is reserved"),
+            (["a", "vertices:", ""], "label 'vertices:' is reserved"),
+            (["a", "b", "a", "c d"], "label 'c d' contains whitespace"),
+        ],
+        ids=["int", "list", "empty", "whitespace", "hash", "arrow", "header", "repeat"],
+    )
+    def test_word_and_graph_name_the_same_first_bad_label(self, labels, message):
+        # letters and vertices pass one check, in first-occurrence order; a
+        # repeat is a second occurrence in a word and a duplicate vertex in a
+        # graph, which the graph reports only once every label is valid
+        for build in (Word, Graph):
+            with pytest.raises(ValueError) as exc:
+                build(labels)
+            assert str(exc.value) == message
 
     def test_repeated_labels_keep_positions(self):
         w = Word(iter(["x", "y", "x", "z", "y"]))
