@@ -264,7 +264,7 @@ def add_apex(g: Graph, label: str) -> Graph:
 
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     """Subgraph induced by the given vertices, keeping g's vertex order."""
-    keep_set = set(keep)
+    keep_set = dict.fromkeys(keep)  # ordered, unlike a set: the first unknown is named
     for v in keep_set:
         if not g.has_vertex(v):
             raise ValueError(f"unknown vertex {v!r}")

@@ -219,9 +219,9 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
 
     Cyclic input is rejected, quoting a directed cycle.  Arcs are scanned in
     index order; for each arc u->v, `_shortcut_path` walks greedily, on the
-    ancestor and descendant masks built along the topological order, to the
-    first u-v path carrying a non-adjacent vertex pair.  The first one found is
-    returned, in polynomial time.
+    ancestor masks built along the topological order and the descendant masks
+    that transpose them, to the first u-v path carrying a non-adjacent vertex
+    pair.  The first one found is returned, in polynomial time.
     """
     n = d.base.n
     adj = d.base.adj
@@ -232,12 +232,10 @@ def find_shortcut(d: Orientation) -> ShortcutWitness | None:
     if len(order) < n:
         raise ValueError("orientation is cyclic: " + " -> ".join(_cycle(labs, inn, order)))
     anc = [0] * n
-    desc = [0] * n
     for v in order:
         for u in iter_bits(inn[v]):
             anc[v] |= anc[u] | 1 << u
-        for u in iter_bits(anc[v]):
-            desc[u] |= 1 << v
+    desc = in_masks(anc)
 
     for u in range(n):
         for v in iter_bits(out[u]):
@@ -260,30 +258,31 @@ def exists_semi_transitive(g: Graph) -> Orientation | None:
     """A semi-transitive orientation of g, or None when no orientation works.
 
     Vertex orders, which give every acyclic orientation, are enumerated in
-    index order; the least successful one is the witness, with out-masks
-    adj & desc.  A prefix dies once the arcs into its newest vertex, a sink,
-    close a shortcut, which `_closes_shortcut` decides from the ancestor and
-    descendant masks.  A node's state is its call's arguments: those masks,
-    the placed set and the memo key; a child gets copies, so nothing is undone
-    on return.  The key (the placed set in bits 0..n-1, the in-neighbour mask
-    of each placed w at bit (w + 1) * n) fixes every arc; dead keys are skipped.
+    index order; the least successful one is the witness, with in-masks
+    adj & anc.  A prefix dies once the arcs into its newest vertex, a sink,
+    close a shortcut, which `_closes_shortcut` decides from the ancestor masks.
+    A node's state is its call's arguments: those masks, the placed set and
+    the dead-state memo key; a child gets copies, so nothing is undone on
+    return.  The key (the placed set in bits 0..n-1, each placed w's ancestor
+    mask at bit (w + 1) * n) fixes every arc: adjacent ancestors are tails.
     """
     return _semi_transitive_search(g)[0]
 
 
-def _closes_shortcut(adj: Sequence[int], desc: Sequence[int], w: int, anc_w: int) -> bool:
+def _closes_shortcut(adj: Sequence[int], anc: Sequence[int], w: int, anc_w: int) -> bool:
     """True when the arcs into the new sink w complete a shortcut.
 
-    desc[x] is the descendant mask of each x placed before w, and anc_w the
-    mask of w's ancestors.  Lemma: one closes exactly when some tail u of w has
-    an x in inside(u) = desc[u] & anc_w that is non-adjacent to u or to w.  If
+    anc[x] is the ancestor mask of each x placed before w, anc_w that of w,
+    and w's tails are adj[w] & anc_w.  Lemma: one closes exactly when some
+    tail u reaches an x in anc_w (u in anc[x]) non-adjacent to u or to w.  If
     so, u-x and x-w paths join into one (the digraph is acyclic) with a vertex
     between the non-adjacent pair: with u -> w, a shortcut.  Conversely, a
     shortcut u = v1 -> ... -> vk = w has non-adjacent va, vb, a + 1 < b: if
-    b = k, x = va fits u; if a = 1, x = vb does; otherwise va is non-adjacent
-    to w, or va is a tail and x = vb, in inside(va), is non-adjacent to it.
+    b = k, x = va fits u (a > 1, as u -> w); if a = 1, x = vb does; otherwise
+    va is non-adjacent to w, or va is a tail reaching x = vb, non-adjacent to it.
     """
-    return any(desc[u] & anc_w & ~(adj[u] & adj[w]) for u in iter_bits(adj[w] & anc_w))
+    tails = adj[w] & anc_w
+    return any(anc[x] & tails & ~(adj[x] if tails >> x & 1 else 0) for x in iter_bits(anc_w))
 
 
 def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
@@ -294,30 +293,27 @@ def _semi_transitive_search(g: Graph) -> tuple[Orientation | None, int]:
     dead: set[int] = set()
     nodes = 0
 
-    def place(placed: int, key: int, anc: list[int], desc: list[int]) -> list[int] | None:
+    def place(placed: int, key: int, anc: list[int]) -> list[int] | None:
         nonlocal nodes
         if placed == full:
-            return [adj[u] & desc[u] for u in range(n)]
+            return in_masks([adj[w] & anc[w] for w in range(n)])
         if key in dead:
             return None
         for w in iter_bits(full & ~placed):
-            tails = adj[w] & placed
-            anc_w = tails
+            anc_w = tails = adj[w] & placed
             for t in iter_bits(tails):
                 anc_w |= anc[t]
-            if not _closes_shortcut(adj, desc, w, anc_w):
+            if not _closes_shortcut(adj, anc, w, anc_w):
                 nodes += 1
                 kid_anc = anc.copy()
                 kid_anc[w] = anc_w
-                kid_desc = [m | (anc_w >> x & 1) << w for x, m in enumerate(desc)]
-                step = 1 << w | tails << (w + 1) * n
-                found = place(placed | 1 << w, key | step, kid_anc, kid_desc)
+                found = place(placed | 1 << w, key | 1 << w | anc_w << (w + 1) * n, kid_anc)
                 if found is not None:
                     return found
         dead.add(key)
         return None
 
-    out = place(0, 0, [0] * n, [0] * n)
+    out = place(0, 0, [0] * n)
     return (None if out is None else Orientation.from_masks(g, out)), nodes
 
 

@@ -85,7 +85,8 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     for exhaustion: (a) the word starts with a fixed maximum-degree vertex,
     justified by rotating any representant to such a start; (b) of a word
     and its rotated reverse (which share that first letter) only the one
-    whose second letter does not exceed its last letter is enumerated.
+    whose second letter does not exceed its last letter is enumerated.  A
+    word too long for the stack (one call per letter) ends it "aborted".
     """
     _check_positive("k", k)
     t0 = time.perf_counter()
@@ -139,7 +140,11 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
         return False
 
     live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
-    if extend(0, [full] * n, live, [k] * n, full if k >= 2 else 0, full):
+    try:
+        found = extend(0, [full] * n, live, [k] * n, full if k >= 2 else 0, full)
+    except RecursionError:
+        return Certificate(query, ABORTED, None, nodes, _ms(t0))
+    if found:
         w = Word(labs[c] for c in word_idx)
         if not represents(w, g):
             raise VerificationError("completed word failed verification")
@@ -172,7 +177,8 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
     goes on up to 2(n - c) for a greedy clique size c, which bounds R(G) for
     every representable graph (same authors); exhausting that bound
     contradicts the theorem and raises VerificationError.  Stopping at an
-    explicit max_k below the answer yields "aborted", as nothing was proved.
+    explicit max_k below the answer, or at a k whose search aborts, yields
+    "aborted", as nothing was proved.
     The orientation verdict is kept on the result; nodes_explored counts the
     k-uniform searches only.
     """
@@ -200,12 +206,8 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
         cert = find_k_uniform_representant(g, k)
         per.append(cert)
         nodes += cert.nodes_explored
-        if cert.status == WITNESS_FOUND:
-            assert isinstance(cert.witness, Word)
-            return RepNumberCertificate(
-                query, WITNESS_FOUND, k, cert.witness, tuple(per), nodes, _ms(t0),
-                orient,
-            )
+        if cert.status != EXHAUSTED:  # found, or aborted: a longer word aborts too
+            break
         if k == 2:
             orient = _orientation_certificate(g)
             if orient.status == EXHAUSTED:
@@ -216,12 +218,14 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
             hkp = 2 * (g.n - _greedy_clique_size(g))
             bound = hkp if max_k is None else min(max_k, hkp)
         k += 1
-    if bound == hkp:
+    if bound == hkp and cert.status == EXHAUSTED:
         raise VerificationError(
             f"k = {hkp} exhausted for a graph with a semi-transitive orientation"
         )
+    found = cert.status == WITNESS_FOUND
     return RepNumberCertificate(
-        query, ABORTED, None, None, tuple(per), nodes, _ms(t0), orient
+        query, WITNESS_FOUND if found else ABORTED, k if found else None, cert.witness,
+        tuple(per), nodes, _ms(t0), orient,
     )
 
 

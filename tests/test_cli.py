@@ -222,6 +222,14 @@ class TestFind:
         code, _, _ = run(capsys, "find", "--graph", prism_file, "--k", "0")
         assert code == 2
 
+    def test_word_deeper_than_the_stack_aborts(self, capsys, tmp_path):
+        g = tmp_path / "p3.graph"
+        g.write_text(format_graph(build_family("path", 3)))
+        code, out, err = run(capsys, "find", "--graph", str(g), "--k", "400")
+        assert (code, err) == (1, "")
+        assert report_dict(out)["status"] == "aborted"
+        assert report_dict(out)["witness"] == "-"
+
 
 class TestOrient:
     def test_found_writes_file(self, capsys, prism_file, tmp_path):

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wordrep
 from wordrep import (
     Graph,
     ParseError,
@@ -221,6 +226,28 @@ class TestBuilders:
         assert graph_edge_set(g) == {frozenset(("1", "2"))}
         with pytest.raises(ValueError, match="unknown vertex 'z'"):
             induced_subgraph(build_family("cycle", 5), ["1", "z"])
+
+    def test_induced_subgraph_names_the_first_unknown_vertex(self):
+        # the message must not follow set iteration order, which moves with
+        # the hash seed
+        code = (
+            "from wordrep import build_family, induced_subgraph\n"
+            "try:\n"
+            "    induced_subgraph(build_family('path', 3), ['x', 'y', 'z'])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(wordrep.__file__).resolve().parents[1])
+        for seed in "123":
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (proc.stdout, proc.stderr) == ("unknown vertex 'x'\n", ""), seed
 
 
 class TestIsomorphism:

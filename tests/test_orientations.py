@@ -356,9 +356,8 @@ class TestClosesShortcut:
             for k in range(1, g.n + 1):
                 w = order[k - 1]
                 desc = _descendant_masks(g.adj, order[:k])
-                anc_w = sum(1 << x for x in order[: k - 1] if desc[x] >> w & 1)
-                before = [m & ~(1 << w) for m in desc]
-                got = _closes_shortcut(g.adj, before, w, anc_w)
+                anc = [sum(1 << x for x in order[: k - 1] if desc[x] >> y & 1) for y in range(g.n)]
+                got = _closes_shortcut(g.adj, anc, w, anc[w])
                 labs = [g.labels[i] for i in order[:k]]
                 d = orient_by_order(induced_subgraph(g, labs), labs)
                 assert got == naive_has_shortcut(d, end=g.labels[w]), (g.edges(), labs)
@@ -459,7 +458,7 @@ class TestSemiTransitiveSearch:
 
     def test_search_runs_no_walk_and_no_path_dfs(self, monkeypatch):
         # the goldens above, with find_shortcut's path walk made to fail: the
-        # search decides from its ancestor and descendant masks alone
+        # search decides from its ancestor masks alone
         def boom(*args):
             raise AssertionError("walk or DFS called")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordrep import (
     ABORTED,
+    Certificate,
     EXHAUSTED,
     NOT_REPRESENTABLE,
     WITNESS_FOUND,
@@ -122,6 +123,12 @@ class TestKUniformSearch:
     def test_empty_graph(self):
         cert = find_k_uniform_representant(Graph([], []), 2)
         assert cert.status == WITNESS_FOUND and len(cert.witness) == 0
+
+    def test_word_deeper_than_the_stack_aborts(self):
+        # P3 at k = 400 needs a 1,200-letter word, one call per letter
+        cert = find_k_uniform_representant(build_family("path", 3), 400)
+        assert cert.status == ABORTED and cert.witness is None
+        assert cert.nodes_explored > 0
 
     def test_nodes_counted(self):
         cert = find_k_uniform_representant(build_family("cycle", 5), 2)
@@ -238,6 +245,17 @@ class TestRepresentationNumber:
         monkeypatch.setattr("wordrep.search._greedy_clique_size", lambda g: g.n - 1)
         with pytest.raises(VerificationError):
             representation_number(build_family("prism", 3))
+
+    def test_aborted_k_ends_the_scan(self, monkeypatch):
+        # an aborted k proves nothing, so neither a verdict nor a failed
+        # bound may follow from it
+        def aborted(g, k):
+            return Certificate(f"k={k}", ABORTED, None, 0, 0.0)
+
+        monkeypatch.setattr("wordrep.search.find_k_uniform_representant", aborted)
+        res = representation_number(build_family("prism", 3))
+        assert res.status == ABORTED and res.orientation is None
+        assert [c.status for c in res.per_k] == [ABORTED]
 
     def test_orientation_only_after_k2_exhausts(self):
         assert representation_number(build_family("cycle", 5)).orientation is None
