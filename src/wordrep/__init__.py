@@ -16,9 +16,8 @@ _EXPORTS = {
     ),
     "errors": ("ParseError", "VerificationError"),
     "graphs": (
-        "FAMILIES", "PETERSEN_EDGES", "Graph", "add_apex", "are_isomorphic",
-        "build_family", "chromatic_number", "format_graph", "induced_subgraph",
-        "parse_graph",
+        "FAMILIES", "PETERSEN_EDGES", "Graph", "add_apex", "build_family", "format_graph",
+        "induced_subgraph", "parse_graph",
     ),
     "orientations": (
         "Orientation", "ShortcutWitness", "directed_cycle", "exists_semi_transitive",
@@ -27,9 +26,9 @@ _EXPORTS = {
     ),
     "search": (
         "ABORTED", "EXHAUSTED", "NOT_REPRESENTABLE", "WITNESS_FOUND", "Certificate",
-        "RepNumberCertificate", "find_k_uniform_representant",
-        "find_permutational_representation", "find_transitive_orientation",
-        "poset_dimension", "representation_number",
+        "RepNumberCertificate", "are_isomorphic", "chromatic_number",
+        "find_k_uniform_representant", "find_permutational_representation",
+        "find_transitive_orientation", "poset_dimension", "representation_number",
     ),
     "transforms": (
         "CombinedRepNumbers", "CombineMode", "RepNumberInput", "add_leaf", "add_path",

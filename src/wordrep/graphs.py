@@ -279,92 +279,6 @@ def _union(*graphs: Graph) -> Graph:
     return Graph(labels, [e for g in graphs for e in g.edges()])
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by backtracking with degree pruning.
-
-    Exponential in the worst case; intended for graphs of up to ~10 vertices.
-    """
-    n = g1.n
-    if n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    deg1 = [m.bit_count() for m in g1.adj]
-    deg2 = [m.bit_count() for m in g2.adj]
-    if sorted(deg1) != sorted(deg2):
-        return False
-    # map vertices in descending-degree order; high-degree first fails fastest
-    order = sorted(range(n), key=lambda i: -deg1[i])
-    image = [-1] * n  # image[p] is read only once p is mapped on this branch
-
-    def extend(pos: int, used: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in range(n):
-            if used >> w & 1 or deg2[w] != deg1[v]:
-                continue
-            if all(
-                (g1.adj[v] >> p & 1) == (g2.adj[w] >> image[p] & 1) for p in order[:pos]
-            ):
-                image[v] = w
-                if extend(pos + 1, used | 1 << w):
-                    return True
-        return False
-
-    return extend(0, 0)
-
-
-def _greedy_clique_size(g: Graph) -> int:
-    """Size of a clique grown greedily by common-neighbourhood degree."""
-    adj = g.adj
-    cand = (1 << g.n) - 1
-    size = 0
-    while cand:
-        v = max(iter_bits(cand), key=lambda i: ((adj[i] & cand).bit_count(), -i))
-        size += 1
-        cand &= adj[v]
-    return size
-
-
-def _fewest_classes(items: Sequence, empty: object, join: Callable, t: int) -> list:
-    """A split of items into the fewest classes, searched from t classes up.
-
-    join(cls, item) returns cls grown by item, or None when the item does not
-    fit.  Each item in turn tries the open classes first to last, then, while
-    fewer than t are open, one new class that starts as empty; so classes
-    open in order of first use and no split recurs with its classes renamed.
-    t rises by one until a split exists.  Started at most at the fewest
-    possible count, the first t that succeeds is that count and the split
-    has exactly t classes: one with fewer would have succeeded earlier.
-    """
-
-    def fill(p: int, classes: list) -> list | None:
-        if p == len(items):
-            return classes
-        for c, cls in enumerate(classes + [empty] if len(classes) < t else classes):
-            grown = join(cls, items[p])
-            if grown is not None:
-                found = fill(p + 1, classes[:c] + [grown] + classes[c + 1 :])
-                if found is not None:
-                    return found
-        return None
-
-    while (classes := fill(0, [])) is None:
-        t += 1
-    return classes
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: _fewest_classes over vertices by falling degree.
-
-    The search starts at the size of a greedy clique, which no colouring
-    undercuts.  Practical for graphs of up to ~12 vertices.
-    """
-    adj = g.adj
-    order = sorted(range(g.n), key=lambda i: -adj[i].bit_count())
-    join = lambda m, v: None if m & adj[v] else m | 1 << v
-    return len(_fewest_classes(order, 0, join, _greedy_clique_size(g)))
-
-
 def _read_pairs(
     text: str, split: Callable[[str], Sequence[str]]
 ) -> tuple[list[str], list[tuple[int, str, str]]]:

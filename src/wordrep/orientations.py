@@ -121,7 +121,10 @@ def is_shortcut_witness(d: Orientation, w: ShortcutWitness) -> bool:
         return False
     if not d.has_arc(p[0], p[-1]):
         return False
-    a, b = w.missing_pair
+    try:
+        a, b = w.missing_pair
+    except (TypeError, ValueError):  # not a pair
+        return False
     if a not in p or b not in p or a == b:
         return False
     return not d.base.has_edge(a, b)

@@ -1,19 +1,20 @@
-"""Certified exhaustive searches.
+"""Certified exhaustive searches and the exponential graph invariants.
 
-Every search returns a Certificate: either a witness that has been re-checked
-by an independent oracle (represents, transitivity, realizer intersection) or
-an exhaustion claim covering the whole space under the documented symmetry
-reductions; a transitive orientation is refuted by Golumbic's theorem instead.
+A search for a word, an orientation or a permutational representation returns
+a Certificate: a witness re-checked by an independent oracle (represents,
+transitivity, realizer intersection), or an exhaustion claim covering the whole
+space under the documented symmetry reductions; Golumbic's theorem refutes a
+transitive orientation instead.  poset_dimension returns a realizer re-checked
+by intersection, and chromatic_number and are_isomorphic a bare answer.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import VerificationError
-from .graphs import Graph, _fewest_classes, _greedy_clique_size, in_masks, iter_bits
-from .graphs import topological_order
+from .graphs import Graph, in_masks, iter_bits, topological_order
 from .words import LinearOrderFamily, Word, represents
 
 if TYPE_CHECKING:
@@ -227,6 +228,92 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
         query, WITNESS_FOUND if found else ABORTED, k if found else None, cert.witness,
         tuple(per), nodes, _ms(t0), orient,
     )
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test by backtracking with degree pruning.
+
+    Exponential in the worst case; intended for graphs of up to ~10 vertices.
+    """
+    n = g1.n
+    if n != g2.n or g1.edge_count != g2.edge_count:
+        return False
+    deg1 = [m.bit_count() for m in g1.adj]
+    deg2 = [m.bit_count() for m in g2.adj]
+    if sorted(deg1) != sorted(deg2):
+        return False
+    # map vertices in descending-degree order; high-degree first fails fastest
+    order = sorted(range(n), key=lambda i: -deg1[i])
+    image = [-1] * n  # image[p] is read only once p is mapped on this branch
+
+    def match(pos: int, used: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        for w in range(n):
+            if used >> w & 1 or deg2[w] != deg1[v]:
+                continue
+            if all(
+                (g1.adj[v] >> p & 1) == (g2.adj[w] >> image[p] & 1) for p in order[:pos]
+            ):
+                image[v] = w
+                if match(pos + 1, used | 1 << w):
+                    return True
+        return False
+
+    return match(0, 0)
+
+
+def _greedy_clique_size(g: Graph) -> int:
+    """Size of a clique grown greedily by common-neighbourhood degree."""
+    adj = g.adj
+    cand = (1 << g.n) - 1
+    size = 0
+    while cand:
+        v = max(iter_bits(cand), key=lambda i: ((adj[i] & cand).bit_count(), -i))
+        size += 1
+        cand &= adj[v]
+    return size
+
+
+def _fewest_classes(items: Sequence, empty: object, join: Callable, t: int) -> list:
+    """A split of items into the fewest classes, searched from t classes up.
+
+    join(cls, item) returns cls grown by item, or None when the item does not
+    fit.  Each item in turn tries the open classes first to last, then, while
+    fewer than t are open, one new class that starts as empty; so classes
+    open in order of first use and no split recurs with its classes renamed.
+    t rises by one until a split exists.  Started at most at the fewest
+    possible count, the first t that succeeds is that count and the split
+    has exactly t classes: one with fewer would have succeeded earlier.
+    """
+
+    def fill(p: int, classes: list) -> list | None:
+        if p == len(items):
+            return classes
+        for c, cls in enumerate(classes + [empty] if len(classes) < t else classes):
+            grown = join(cls, items[p])
+            if grown is not None:
+                found = fill(p + 1, classes[:c] + [grown] + classes[c + 1 :])
+                if found is not None:
+                    return found
+        return None
+
+    while (classes := fill(0, [])) is None:
+        t += 1
+    return classes
+
+
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number: _fewest_classes over vertices by falling degree.
+
+    The search starts at the size of a greedy clique, which no colouring
+    undercuts.  Practical for graphs of up to ~12 vertices.
+    """
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda i: -adj[i].bit_count())
+    join = lambda m, v: None if m & adj[v] else m | 1 << v
+    return len(_fewest_classes(order, 0, join, _greedy_clique_size(g)))
 
 
 def find_transitive_orientation(g: Graph) -> Certificate:

@@ -160,7 +160,7 @@ def cyclic_shift(w: Word, cut: int) -> Word:
     """
     if uniformity(w).k is None:
         raise ValueError("cyclic shift requires a uniform word")
-    if not 0 <= cut <= len(w):
+    if isinstance(cut, bool) or not isinstance(cut, int) or not 0 <= cut <= len(w):
         raise ValueError(f"cut must be in 0..{len(w)}, got {cut}")
     return Word(w.letters[cut:] + w.letters[:cut])
 

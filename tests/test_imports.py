@@ -185,10 +185,10 @@ def test_no_module_level_accumulator():
 # call themselves; a polynomial check walks with an explicit stack instead,
 # so its depth is not bounded by the recursion limit.
 RECURSIVE_KERNELS = [
-    ("graphs.py", "extend"),  # are_isomorphic
-    ("graphs.py", "fill"),  # chromatic_number and poset_dimension
     ("orientations.py", "place"),  # exists_semi_transitive
     ("search.py", "extend"),  # find_k_uniform_representant
+    ("search.py", "fill"),  # chromatic_number and poset_dimension
+    ("search.py", "match"),  # are_isomorphic
 ]
 
 
@@ -201,6 +201,34 @@ def test_only_search_kernels_recurse():
                 if any(isinstance(f, ast.Name) and f.id == node.name for f in calls):
                     found.append((path.name, node.name))
     assert sorted(found) == RECURSIVE_KERNELS
+
+
+# The bottom layers, by the wordrep modules each imports outside any function:
+# graph values depend on no search, and words and orientations on graphs only.
+MODULE_IMPORTS = {
+    "graphs.py": ["errors"],
+    "words.py": ["errors", "graphs"],
+    "orientations.py": ["errors", "graphs"],
+}
+
+
+def _module_level_imports(tree):
+    found, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .m import x
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):  # import wordrep.m
+            found.update(a.name[8:] for a in node.names if a.name.startswith("wordrep."))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))  # a class body runs on import
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", list(MODULE_IMPORTS))
+def test_module_level_imports(name):
+    tree = ast.parse(Path(SRC, "wordrep", name).read_text())
+    assert _module_level_imports(tree) == MODULE_IMPORTS[name]
 
 
 def test_no_long_source_line():

@@ -216,6 +216,9 @@ class TestFindShortcut:
             (("1", "2", "3", "4", "5"), ("2", "6")),  # 6 is off the path
             (("1", "2", "3", "4", "5"), ("1", "1")),  # not a pair
             (("1", "2", "x", "5"), ("1", "5")),  # x is not a vertex
+            (("1", "2", "3", "4", "5"), ("1",)),  # one vertex
+            (("1", "2", "3", "4", "5"), ("1", "2", "3")),  # three vertices
+            (("1", "2", "3", "4", "5"), None),  # no pair at all
         ],
     )
     def test_bad_witness_rejected(self, shortcut_digraph, path, pair):

@@ -284,7 +284,7 @@ class TestCyclicShift:
         with pytest.raises(ValueError):
             cyclic_shift(parse_word("1213423"), 1)
 
-    @pytest.mark.parametrize("cut", [-1, 5])
+    @pytest.mark.parametrize("cut", [-1, 5, True, 1.0])
     def test_cut_out_of_range_rejected(self, cut):
         with pytest.raises(ValueError, match=f"cut must be in 0..4, got {cut}"):
             cyclic_shift(parse_word("1212"), cut)
