@@ -219,7 +219,8 @@ def _module_level_imports(tree):
         if isinstance(node, ast.ImportFrom) and node.level:  # from .m import x
             found.update([node.module] if node.module else [a.name for a in node.names])
         elif isinstance(node, ast.Import):  # import wordrep.m
-            found.update(a.name[8:] for a in node.names if a.name.startswith("wordrep."))
+            names = [a.name for a in node.names]
+            found.update(n[len("wordrep.") :] for n in names if n.startswith("wordrep."))
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack.extend(ast.iter_child_nodes(node))  # a class body runs on import
     return sorted(found)
