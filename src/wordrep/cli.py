@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import VerificationError
-from .graphs import FAMILIES, Graph, build_family, format_graph, parse_graph
+from .graphs import FAMILIES, Graph, _check_size, build_family, format_graph, parse_graph
 
 if TYPE_CHECKING:
     from .words import LinearOrderFamily, Word
@@ -224,8 +224,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     from .transforms import crown_perm_word, ladder_word
     from .words import format_word
 
-    if args.max < 1:
-        raise ValueError(f"--max must be at least 1, got {args.max}")
+    _check_size("--max", args.max, 1)
     key, build = ("n", ladder_word) if args.which == "ladder" else ("k", crown_perm_word)
     for i in range(1, args.max + 1):
         print(f"{key}={i}: {format_word(build(i))}")

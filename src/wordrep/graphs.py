@@ -86,9 +86,14 @@ def topological_order(inn: Sequence[int]) -> list[int]:
     return order
 
 
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool (bool is an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_size(what: str, value: object, minimum: int | None = None) -> None:
-    # bool is an int subclass, and a float size fails later inside range()
-    if isinstance(value, bool) or not isinstance(value, int):
+    # a float size would fail later inside range()
+    if not is_int(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {value}")

@@ -27,8 +27,6 @@ class Orientation:
         out = [0] * base.n
         for u, v in arcs:
             i, j = base.index(u), base.index(v)
-            if not base.adj[i] >> j & 1:
-                raise ValueError(f"({u}, {v}) is not an edge of the base graph")
             if (out[i] >> j | out[j] >> i) & 1:
                 raise ValueError(f"edge ({u}, {v}) directed more than once")
             out[i] |= 1 << j
@@ -115,7 +113,10 @@ class ShortcutWitness(NamedTuple):
 def is_shortcut_witness(d: Orientation, w: ShortcutWitness) -> bool:
     """Re-check a witness from scratch against the orientation."""
     p = w.path
-    if len(p) < 4 or len(set(p)) != len(p) or not all(map(d.base.has_vertex, p)):
+    try:
+        if len(p) < 4 or len(set(p)) != len(p) or not all(map(d.base.has_vertex, p)):
+            return False
+    except TypeError:  # not a sequence of labels
         return False
     if any(not d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)):
         return False
@@ -175,9 +176,11 @@ def orient_by_order(g: Graph, order: Sequence[str]) -> Orientation:
     """
     if len(order) != g.n or {g.index(t) for t in order} != set(range(g.n)):
         raise ValueError("order is not a permutation of the vertex set")
-    pos = {t: p for p, t in enumerate(order)}
-    arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges()]
-    return Orientation(g, arcs)
+    out, seen = [0] * g.n, 0
+    for i in map(g.index, order):
+        out[i] = g.adj[i] & ~seen
+        seen |= 1 << i
+    return Orientation.from_masks(g, out)
 
 
 def _shortcut_path(

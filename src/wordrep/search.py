@@ -1,7 +1,7 @@
 """Certified exhaustive searches and the exponential graph invariants.
 
 A search for a word, an orientation or a permutational representation returns
-a Certificate: a witness re-checked by an independent oracle (represents,
+a Certificate: a witness re-checked by an independent oracle (words.verified,
 transitivity, realizer intersection), or an exhaustion claim covering the whole
 space under the documented symmetry reductions; Golumbic's theorem refutes a
 transitive orientation instead.  poset_dimension returns a realizer re-checked
@@ -14,8 +14,8 @@ import time
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import VerificationError
-from .graphs import Graph, in_masks, iter_bits, topological_order
-from .words import LinearOrderFamily, Word, represents
+from .graphs import Graph, in_masks, is_int, iter_bits, topological_order
+from .words import LinearOrderFamily, Word, verified
 
 if TYPE_CHECKING:
     from .orientations import Orientation
@@ -31,8 +31,8 @@ def _ms(t0: float) -> float:
 
 
 def _check_positive(name: str, value: object) -> None:
-    # bool is an int subclass, and a float k would recurse without end
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    # a float k would recurse without end
+    if not is_int(value) or value <= 0:
         raise ValueError(f"{name} must be a positive integer")
 
 
@@ -146,9 +146,7 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     except RecursionError:
         return Certificate(query, ABORTED, None, nodes, _ms(t0))
     if found:
-        w = Word(labs[c] for c in word_idx)
-        if not represents(w, g):
-            raise VerificationError("completed word failed verification")
+        w = verified(Word(labs[c] for c in word_idx), g, "find_k_uniform_representant")
         return Certificate(query, WITNESS_FOUND, w, nodes, _ms(t0))
     return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
 
@@ -190,43 +188,34 @@ def representation_number(g: Graph, max_k: int | None = None) -> RepNumberCertif
         query += f" max-k={max_k}"
 
     if g.is_complete():
-        w = Word(g.labels)
-        if not represents(w, g):
-            raise VerificationError("permutation witness failed verification")
+        w = verified(Word(g.labels), g, "representation_number")
         sub = f"k-uniform-representant n={g.n} m={g.edge_count} k=1"
         cert = Certificate(sub, WITNESS_FOUND, w, 0, 0.0)
         return RepNumberCertificate(query, WITNESS_FOUND, 1, w, (cert,), 0, _ms(t0))
 
     per: list[Certificate] = []
-    nodes = 0
     orient: Certificate | None = None
-    hkp: int | None = None
-    bound = 2 if max_k is None else min(max_k, 2)
-    k = 1
-    while k <= bound:
-        cert = find_k_uniform_representant(g, k)
-        per.append(cert)
-        nodes += cert.nodes_explored
+    k = 0
+    while max_k is None or k < max_k:
+        k += 1
+        per.append(cert := find_k_uniform_representant(g, k))
         if cert.status != EXHAUSTED:  # found, or aborted: a longer word aborts too
             break
         if k == 2:
             orient = _orientation_certificate(g)
             if orient.status == EXHAUSTED:
                 return RepNumberCertificate(
-                    query, NOT_REPRESENTABLE, None, None, tuple(per), nodes,
-                    _ms(t0), orient,
+                    query, NOT_REPRESENTABLE, None, None, tuple(per),
+                    sum(c.nodes_explored for c in per), _ms(t0), orient,
                 )
-            hkp = 2 * (g.n - _greedy_clique_size(g))
-            bound = hkp if max_k is None else min(max_k, hkp)
-        k += 1
-    if bound == hkp and cert.status == EXHAUSTED:
-        raise VerificationError(
-            f"k = {hkp} exhausted for a graph with a semi-transitive orientation"
-        )
+        if k > 1 and k == 2 * (g.n - _greedy_clique_size(g)):
+            raise VerificationError(
+                f"k = {k} exhausted for a graph with a semi-transitive orientation"
+            )
     found = cert.status == WITNESS_FOUND
     return RepNumberCertificate(
         query, WITNESS_FOUND if found else ABORTED, k if found else None, cert.witness,
-        tuple(per), nodes, _ms(t0), orient,
+        tuple(per), sum(c.nodes_explored for c in per), _ms(t0), orient,
     )
 
 
@@ -377,6 +366,8 @@ def poset_dimension(d: Orientation) -> tuple[int, LinearOrderFamily]:
     coloring, Order 17, 2000), found by _fewest_classes from t = 1.
     Each member is the topological order of its class that takes the least
     ready index first; the realizer is re-verified by intersection equality.
+    _fewest_classes takes one stack frame per critical pair, so more pairs
+    than the recursion limit (an antichain of 45 has 1,980) raise RecursionError.
     """
     from .orientations import is_transitive
 
@@ -424,6 +415,7 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     and the dimension does not depend on the orientation chosen, so each
     "exhausted" is a proof.  A realizer smaller than k is padded by repeating
     its own orders from the start, which leaves the intersection unchanged.
+    A poset_dimension too deep for the stack ends the search "aborted".
     """
     from .orientations import Orientation
 
@@ -435,11 +427,12 @@ def find_permutational_representation(g: Graph, k: int) -> Certificate:
     if base.status != WITNESS_FOUND:
         return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
     assert isinstance(base.witness, Orientation)
-    dim, realizer = poset_dimension(base.witness)
+    try:
+        dim, realizer = poset_dimension(base.witness)
+    except RecursionError:  # more critical pairs than stack frames
+        return Certificate(query, ABORTED, None, nodes, _ms(t0))
     if dim > k:
         return Certificate(query, EXHAUSTED, None, nodes, _ms(t0))
-    orders = [realizer.orders[i % dim] for i in range(k)]
-    fam = LinearOrderFamily(tuple(orders))
-    if not represents(fam.word(), g):
-        raise VerificationError("permutational representation failed verification")
+    fam = LinearOrderFamily(tuple(realizer.orders[i % dim] for i in range(k)))
+    verified(fam.word(), g, "find_permutational_representation")
     return Certificate(query, WITNESS_FOUND, fam, nodes, _ms(t0))

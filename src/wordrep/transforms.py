@@ -1,26 +1,19 @@
 """Constructive word builders for graph operations and families.
 
-Every builder is a direct construction, with no search: it re-derives the
-graph of its output once and compares it against a target built
-independently from graph values (a union of graphs, a relabelling, an
-induced subgraph or an apex); a mismatch is a hard failure.
+Every builder is a direct construction, with no search: its output passes
+words.verified against a target built independently from graph values (a
+union of graphs, a relabelling, an induced subgraph or an apex); a mismatch
+raises VerificationError.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import VerificationError
 from .graphs import Graph, _check_size, _union, add_apex, build_family
 from .graphs import induced_subgraph, validate_label
-from .words import (
-    LinearOrderFamily,
-    Word,
-    derive_graph,
-    extend_uniform,
-    represents,
-    uniformity,
-)
+from .words import LinearOrderFamily, Word, derive_graph, extend_uniform, uniformity
+from .words import verified
 
 
 def fallback_counts() -> dict[str, int]:
@@ -93,12 +86,6 @@ def _require_uniform(w: Word, minimum: int, what: str) -> int:
     return prof.k
 
 
-def _verified(result: Word, target: Graph, what: str) -> Word:
-    if not represents(result, target):
-        raise VerificationError(f"{what} produced a word that fails verification")
-    return result
-
-
 def _leaf_letters(letters, x: str, y: str) -> list[str]:
     # y x y for the first x, x for the second, y x for each later one
     out: list[str] = []
@@ -126,7 +113,7 @@ def add_leaf(w: Word, x: str, y: str) -> Word:
     if y in w.alphabet:
         raise ValueError(f"label {y!r} is already taken")
     target = _union(derive_graph(w), Graph([x, y], [(x, y)]))
-    return _verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
+    return verified(Word(_leaf_letters(w.letters, x, y)), target, "add_leaf")
 
 
 def equalize_uniformity(w1: Word, w2: Word) -> tuple[Word, Word]:
@@ -227,7 +214,7 @@ def combine(w1: Word, w2: Word, x: str, y: str, mode: CombineMode) -> Word:
             raise ValueError(f"merged label {z!r} collides with a kept vertex")
         target = _union(g1.relabel({x: z}), g2.relabel({y: z}))
         result = _glue_words(w1.letters, w2.letters, x, y, z)
-    return _verified(result, target, "combine")
+    return verified(result, target, "combine")
 
 
 def combined_rep_number(inp: RepNumberInput) -> CombinedRepNumbers:
@@ -281,7 +268,7 @@ def substitute_module(w: Word, x: str, module_perms: LinearOrderFamily) -> Word:
             letters.extend(perms[occ[i] % len(perms)])
         else:
             letters.append(t)
-    return _verified(Word(letters), target, "substitute_module")
+    return verified(Word(letters), target, "substitute_module")
 
 
 def ladder_word(n: int) -> Word:
@@ -302,7 +289,7 @@ def ladder_word(n: int) -> Word:
         )
         letters[at : at + 2] = [bp, ap, b, bp, a, b]
         letters.reverse()
-    return _verified(Word(letters), build_family("ladder", n), "ladder_word")
+    return verified(Word(letters), build_family("ladder", n), "ladder_word")
 
 
 def crown_perm_word(k: int) -> Word:
@@ -315,7 +302,7 @@ def crown_perm_word(k: int) -> Word:
     """
     _check_size("crown size", k, 1)
     if k == 1:
-        return _verified(
+        return verified(
             Word(["1", "1'", "1'", "1"]), build_family("crown", 1), "crown_perm_word"
         )
     letters: list[str] = []
@@ -324,7 +311,7 @@ def crown_perm_word(k: int) -> Word:
         letters += [str(i) for i in others]
         letters += [f"{m}'", str(m)]
         letters += [f"{i}'" for i in reversed(others)]
-    return _verified(Word(letters), build_family("crown", k), "crown_perm_word")
+    return verified(Word(letters), build_family("crown", k), "crown_perm_word")
 
 
 def _tree_word_rooted(t: Graph, root: str) -> list[str]:
@@ -357,7 +344,7 @@ def tree_word(t: Graph) -> Word:
     letters = _tree_word_rooted(t, min(t.labels))
     if len(letters) < 2 * t.n:  # the walk missed a vertex
         raise ValueError("not a tree: the graph is disconnected")
-    return _verified(Word(letters), t, "tree_word")
+    return verified(Word(letters), t, "tree_word")
 
 
 def cycle_word(n: int) -> Word:
@@ -374,7 +361,7 @@ def cycle_word(n: int) -> Word:
     _check_size("cycle length", n, 3)
     letters = _tree_word_rooted(build_family("path", n), "2")
     letters[0], letters[1] = letters[1], letters[0]
-    return _verified(Word(letters), build_family("cycle", n), "cycle_word")
+    return verified(Word(letters), build_family("cycle", n), "cycle_word")
 
 
 def cone_word(perms: LinearOrderFamily, apex: str) -> Word:
@@ -392,7 +379,7 @@ def cone_word(perms: LinearOrderFamily, apex: str) -> Word:
     for p in perms.orders:
         letters += list(p)
         letters.append(apex)
-    return _verified(Word(letters), target, "cone_word")
+    return verified(Word(letters), target, "cone_word")
 
 
 def add_path(w: Word, x: str, y: str, length: int) -> Word:
@@ -454,6 +441,6 @@ def add_path(w: Word, x: str, y: str, length: int) -> Word:
         rot = letters[s:] + letters[:s]
         j = [i for i, t in enumerate(rot) if t == y][1]
         if rot[1:j].count(u) == 1:
-            break  # a site exists (see above); if not, _verified fails
+            break  # a site exists (see above); if not, verified fails
     out = [a, u, b, a, *rot[1:j], b, y, a, b, *rot[j + 1 :]]
-    return _verified(Word(out), target, "add_path")
+    return verified(Word(out), target, "add_path")

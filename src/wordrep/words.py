@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, VerificationError
-from .graphs import Graph, check_labels
+from .graphs import Graph, check_labels, is_int
 
 
 class Word:
@@ -140,6 +140,13 @@ def represents(w: Word, g: Graph) -> bool:
     return tuple(_alternation_masks(w, g.labels)) == g.adj
 
 
+def verified(w: Word, g: Graph, what: str) -> Word:
+    """w, once it represents g; else VerificationError names its producer `what`."""
+    if not represents(w, g):
+        raise VerificationError(f"{what} produced a word that fails verification")
+    return w
+
+
 def uniformity(w: Word) -> UniformityProfile:
     """Occurrence profile; k is the common count when all letters agree, else None."""
     counts = tuple((t, len(w._occ[t])) for t in w.alphabet)
@@ -160,7 +167,7 @@ def cyclic_shift(w: Word, cut: int) -> Word:
     """
     if uniformity(w).k is None:
         raise ValueError("cyclic shift requires a uniform word")
-    if isinstance(cut, bool) or not isinstance(cut, int) or not 0 <= cut <= len(w):
+    if not is_int(cut) or not 0 <= cut <= len(w):
         raise ValueError(f"cut must be in 0..{len(w)}, got {cut}")
     return Word(w.letters[cut:] + w.letters[:cut])
 
@@ -173,17 +180,14 @@ def initial_permutation(w: Word) -> Word:
 def extend_uniform(w: Word) -> Word:
     """Lift a k-uniform word to (k+1)-uniform, preserving the derived graph.
 
-    Prepends the initial permutation; the result is re-verified against the
-    original derived graph and a failure raises VerificationError.
+    Prepends the initial permutation; the result is verified against the
+    original derived graph.
     """
     if uniformity(w).k is None:
         raise ValueError("extend_uniform requires a uniform word")
     if len(w) == 0:
         return w
-    out = Word(w.alphabet + w.letters)
-    if derive_graph(out) != derive_graph(w):
-        raise VerificationError("extend_uniform changed the derived graph")
-    return out
+    return verified(Word(w.alphabet + w.letters), derive_graph(w), "extend_uniform")
 
 
 def concat_orders(orders: Iterable[Sequence[str]]) -> Word:

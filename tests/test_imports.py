@@ -203,6 +203,41 @@ def test_only_search_kernels_recurse():
     assert sorted(found) == RECURSIVE_KERNELS
 
 
+def _calls(accept):
+    """(module, innermost enclosing function) of each call in src/wordrep accepted."""
+    found = []
+    for path in sorted(Path(SRC, "wordrep").glob("*.py")):
+        stack = [(node, None) for node in ast.parse(path.read_text()).body]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            elif isinstance(node, ast.Call) and accept(node):
+                found.append((path.name, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_words_are_proved_by_verified():
+    # every library word is proved by words.verified; outside words.py only
+    # `check`, which reports a refutation instead of raising, asks represents
+    def calls_represents(call):
+        return getattr(call.func, "id", getattr(call.func, "attr", None)) == "represents"
+
+    found = [c for c in _calls(calls_represents) if c[0] != "words.py"]
+    assert found == [("cli.py", "cmd_check")]
+
+
+def test_one_integer_test():
+    # "an int that is not a bool" is written once, in graphs.is_int
+    def tests_bool(call):
+        if getattr(call.func, "id", None) != "isinstance" or len(call.args) != 2:
+            return False
+        return any(getattr(n, "id", None) == "bool" for n in ast.walk(call.args[1]))
+
+    assert _calls(tests_bool) == [("graphs.py", "is_int")]
+
+
 # The bottom layers, by the wordrep modules each imports outside any function:
 # graph values depend on no search, and words and orientations on graphs only.
 MODULE_IMPORTS = {

@@ -53,15 +53,23 @@ def random_acyclic_orientations(draw, max_n=6):
 class TestOrientationBasics:
     def test_every_edge_directed_once(self):
         g = build_family("path", 3)
-        with pytest.raises(ValueError):
-            Orientation(g, [("1", "2")])  # 2-3 missing
-        with pytest.raises(ValueError):
-            Orientation(g, [("1", "2"), ("2", "1"), ("2", "3")])
+        for arcs, message in (
+            ([("1", "2")], "edge (2, 3) left undirected"),
+            ([("1", "2"), ("2", "1"), ("2", "3")], "edge (2, 1) directed more than once"),
+            ([("1", "2"), ("1", "2"), ("2", "3")], "edge (1, 2) directed more than once"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Orientation(g, arcs)
 
     def test_arc_must_be_an_edge(self):
         g = build_family("path", 3)
-        with pytest.raises(ValueError):
-            Orientation(g, [("1", "2"), ("1", "3")])
+        for arcs, message in (
+            ([("1", "2"), ("1", "3")], "(1, 3) is not an edge of the base graph"),
+            ([("1", "1"), ("2", "3")], "(1, 1) is not an edge of the base graph"),
+            ([("1", "x")], "unknown vertex 'x'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Orientation(g, arcs)
 
     @pytest.mark.parametrize(
         "out, message",
@@ -103,9 +111,11 @@ class TestOrientationBasics:
 
     def test_orient_by_order_needs_a_permutation(self):
         g = build_family("path", 3)
-        for order in (["1", "1", "2"], ["1", "2"], ["1", "2", "3", "3"]):
-            with pytest.raises(ValueError, match="not a permutation"):
+        for order in (["1", "1", "2"], ["1", "2"], ["1", "x"], ["1", "2", "3", "3"]):
+            with pytest.raises(ValueError, match="^order is not a permutation of the vertex"):
                 orient_by_order(g, order)
+        with pytest.raises(ValueError, match="^unknown vertex 'x'$"):
+            orient_by_order(g, ["1", "2", "x"])
 
 
 class TestAcyclicity:
@@ -219,6 +229,8 @@ class TestFindShortcut:
             (("1", "2", "3", "4", "5"), ("1",)),  # one vertex
             (("1", "2", "3", "4", "5"), ("1", "2", "3")),  # three vertices
             (("1", "2", "3", "4", "5"), None),  # no pair at all
+            (None, ("1", "3")),  # no path at all
+            (5, ("1", "3")),  # a path that is not a sequence
         ],
     )
     def test_bad_witness_rejected(self, shortcut_digraph, path, pair):

@@ -478,6 +478,13 @@ class TestPosetDimension:
         with pytest.raises(ValueError):
             poset_dimension(d)
 
+    def test_antichain_of_45_is_deeper_than_the_stack(self):
+        # _fewest_classes takes one frame per critical pair: 870 fit, 1,980 do not
+        antichain = lambda n: Orientation(Graph([str(i) for i in range(n)]), [])
+        assert poset_dimension(antichain(30))[0] == 2
+        with pytest.raises(RecursionError):
+            poset_dimension(antichain(45))
+
 
 class TestPermutationalRepresentation:
     def test_complete_k1(self):
@@ -508,6 +515,11 @@ class TestPermutationalRepresentation:
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError):
             find_permutational_representation(build_family("crown", 2), k)
+
+    @pytest.mark.parametrize("n, status", [(30, WITNESS_FOUND), (45, ABORTED), (60, ABORTED)])
+    def test_poset_deeper_than_the_stack_aborts(self, n, status):
+        cert = find_permutational_representation(Graph([str(i) for i in range(n)]), 2)
+        assert cert.status == status
 
     def test_padding_to_larger_k(self):
         g = build_family("crown", 2)

@@ -3,19 +3,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wordrep.words
 from wordrep import (
     Graph,
     ParseError,
+    VerificationError,
     Word,
+    add_leaf,
     alternates,
     concat_orders,
     cyclic_shift,
     derive_graph,
+    build_family,
     extend_uniform,
+    find_k_uniform_representant,
+    find_permutational_representation,
     format_word,
     initial_permutation,
     parse_word,
+    ladder_word,
     permutation_blocks,
+    representation_number,
     represents,
     reverse,
     uniformity,
@@ -243,6 +251,39 @@ class TestRepresents:
         k2 = Graph(["1", "2"], [("1", "2")])
         with pytest.raises(ValueError, match="alphabet mismatch"):
             represents(parse_word("1133"), k2)
+
+
+# producer -> a call that returns a proved word; each proof is words.verified
+PROVED_WORDS = {
+    "find_k_uniform_representant": lambda: find_k_uniform_representant(
+        build_family("path", 3), 2
+    ),
+    "representation_number": lambda: representation_number(build_family("complete", 3)),
+    "find_permutational_representation": lambda: find_permutational_representation(
+        build_family("crown", 2), 2
+    ),
+    "extend_uniform": lambda: extend_uniform(parse_word("1212")),
+    "add_leaf": lambda: add_leaf(parse_word("1212"), "1", "3"),
+    "ladder_word": lambda: ladder_word(2),
+}
+
+
+class TestVerified:
+    def test_returns_the_word(self):
+        w = parse_word("1212")
+        assert wordrep.words.verified(w, derive_graph(w), "test") is w
+
+    def test_names_the_producer(self):
+        with pytest.raises(VerificationError, match="^test produced a word that fails"):
+            wordrep.words.verified(parse_word("1122"), build_family("complete", 2), "test")
+
+    @pytest.mark.parametrize("producer", list(PROVED_WORDS))
+    def test_every_proof_is_this_check(self, monkeypatch, producer):
+        # with represents refuting everything, each producer must refuse its word
+        monkeypatch.setattr(wordrep.words, "represents", lambda w, g: False)
+        message = f"^{producer} produced a word that fails verification$"
+        with pytest.raises(VerificationError, match=message):
+            PROVED_WORDS[producer]()
 
 
 class TestUniformity:
