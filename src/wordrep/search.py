@@ -67,27 +67,29 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     """Search for a k-uniform word representing g.
 
     Left-to-right backtracking over letters with remaining copies, in
-    ascending vertex index at each position, on one bitmask per letter.
-    since[c] holds the letters placed after c's last copy, and every letter
-    while c is unplaced.  Invariant: the prefix's subsequence on a pair
-    {c, d} ends in c exactly when d is not in since[c], so the pairs whose
-    last letter is c are full & ~since[c] & ~bit(c), and placing c repeats a
-    letter on exactly those pairs.  live[c] holds the non-edges at c whose
-    subsequence still alternates; two and avail hold the letters with at
-    least two and at least one copy left.  Placing c is refused when it
-    repeats a letter on an edge, or when it is c's final copy and a live
-    non-edge not repeated by this copy has at most one copy left (it could
-    never repeat).  A neighbour d never has two copies left then: the
-    subsequence on {c, d} alternates and ends in d, so d has placed k - 1 or
-    k copies.  A node's state is the arguments of its call: since, live, rem
-    (the copies left per letter), two and avail.  A child gets copies of the
-    lists it changes, so nothing is undone on return; only the word placed
-    so far is shared along the path.  Two symmetry reductions, both sound
-    for exhaustion: (a) the word starts with a fixed maximum-degree vertex,
-    justified by rotating any representant to such a start; (b) of a word
-    and its rotated reverse (which share that first letter) only the one
-    whose second letter does not exceed its last letter is enumerated.  A
-    word too long for the stack (one call per letter) ends it "aborted".
+    ascending vertex index at each position, on bitmasks packed into ints.
+    Field c of since (n bits at bit n*c) holds the letters placed after c's
+    last copy, and every letter while c is unplaced.  Invariant: the
+    prefix's subsequence on a pair {c, d} ends in c exactly when d is not in
+    field c, so placing c repeats a letter on exactly those pairs.  safe
+    holds the letters whose field holds all their neighbours, and only they
+    are tried: placing c empties field c and adds c to the others, so c
+    leaves safe unless isolated, and only its neighbours can join.  live[c]
+    holds the non-edges at c whose subsequence still alternates; field c of
+    rem (k.bit_length() bits) counts c's copies left, and two and avail hold
+    the letters with at least two and at least one left.  c's final copy is
+    refused when a live non-edge not repeated by it has at most one copy
+    left (it could never repeat).  A neighbour d never has two copies left
+    then: the subsequence on {c, d} alternates and ends in d, so d has
+    placed k - 1 or k copies.  A node's state is the arguments of its call;
+    a child gets new ints, and a copy of live when a non-edge dies, so
+    nothing is undone on return and only the word placed so far is shared
+    along the path.  Two symmetry reductions, both sound for exhaustion:
+    (a) the word starts with a fixed maximum-degree vertex, justified by
+    rotating any representant to such a start; (b) of a word and its
+    rotated reverse (which share that first letter) only the one whose
+    second letter does not exceed its last letter is enumerated.  A word
+    too long for the stack (one call per letter) ends it "aborted".
     """
     _check_positive("k", k)
     t0 = time.perf_counter()
@@ -98,51 +100,57 @@ def find_k_uniform_representant(g: Graph, k: int) -> Certificate:
     query = f"k-uniform-representant n={n} m={g.edge_count} k={k}"
     start = max(range(n), key=lambda i: (adj[i].bit_count(), -i), default=0)
     full = (1 << n) - 1
+    ones = ((1 << n * n) - 1) // full if n else 0  # bit 0 of every since field
+    width = k.bit_length()  # a field of rem holds k
+    low = (1 << width) - 1
     word_idx: list[int] = []
     nodes = 0
 
     def extend(
-        pos: int, since: list[int], live: list[int], rem: list[int], two: int, avail: int
+        pos: int, since: int, rem: int, live: list[int], two: int, avail: int, safe: int
     ) -> bool:
         nonlocal nodes
         if pos == total:
             return True
-        cands = 1 << start if pos == 0 else avail
+        cands = 1 << start if pos == 0 else avail & safe
         if pos == total - 1 and total >= 3:
             cands &= ~((1 << word_idx[1]) - 1)
         while cands:
             bc = cands & -cands
             cands ^= bc
             c = bc.bit_length() - 1
-            ends = full & ~since[c] & ~bc
-            if adj[c] & ends:
-                continue
+            seen = since >> n * c & full
             final = not two & bc
-            if final and live[c] & ~ends & ~two:
+            if final and live[c] & seen & ~two:
                 continue
-            died = live[c] & ends
+            died = live[c] & ~seen
             kid_live = live
             if died:
                 kid_live = live.copy()
                 kid_live[c] ^= died
                 for d in iter_bits(died):
                     kid_live[d] ^= bc
-            kid_rem = rem.copy()
-            kid_rem[c] -= 1
             nodes += 1
             word_idx.append(c)
-            after = [s | bc for s in since]
-            after[c] = 0
-            kid_two = two & ~bc if kid_rem[c] < 2 else two
+            after = (since | bc * ones) & ~(full << n * c)
+            kid_rem = rem - (1 << width * c)
+            kid_safe = safe
+            if adj[c]:
+                kid_safe ^= bc
+                for d in iter_bits(adj[c] & ~safe):
+                    if not adj[d] & ~(after >> n * d):
+                        kid_safe |= 1 << d
+            kid_two = two & ~bc if kid_rem >> width * c & low < 2 else two
             kid_avail = avail & ~bc if final else avail
-            if extend(pos + 1, after, kid_live, kid_rem, kid_two, kid_avail):
+            if extend(pos + 1, after, kid_rem, kid_live, kid_two, kid_avail, kid_safe):
                 return True
             word_idx.pop()
         return False
 
     live = [full & ~adj[c] & ~(1 << c) for c in range(n)]
+    rem = k * ((1 << width * n) - 1) // low
     try:
-        found = extend(0, [full] * n, live, [k] * n, full if k >= 2 else 0, full)
+        found = extend(0, full * ones, rem, live, full if k >= 2 else 0, full, full)
     except RecursionError:
         return Certificate(query, ABORTED, None, nodes, _ms(t0))
     if found:
@@ -223,6 +231,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test by backtracking with degree pruning.
 
     Exponential in the worst case; intended for graphs of up to ~10 vertices.
+    match takes a stack frame per vertex: 1,100 vertices raise RecursionError.
     """
     n = g1.n
     if n != g2.n or g1.edge_count != g2.edge_count:
@@ -297,7 +306,8 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: _fewest_classes over vertices by falling degree.
 
     The search starts at the size of a greedy clique, which no colouring
-    undercuts.  Practical for graphs of up to ~12 vertices.
+    undercuts.  Practical for graphs of up to ~12 vertices.  _fewest_classes
+    takes a stack frame per vertex: 1,100 vertices raise RecursionError.
     """
     adj = g.adj
     order = sorted(range(g.n), key=lambda i: -adj[i].bit_count())

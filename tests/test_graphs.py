@@ -377,6 +377,17 @@ class TestChromaticNumber:
             assert chromatic_number(g) == want, g.edges()
 
 
+def test_edgeless_graph_of_1100_is_deeper_than_the_stack():
+    # are_isomorphic and chromatic_number take one frame per vertex
+    edgeless = lambda n: Graph([str(i) for i in range(n)])
+    assert are_isomorphic(edgeless(500), edgeless(500))
+    assert chromatic_number(edgeless(500)) == 1
+    with pytest.raises(RecursionError):
+        are_isomorphic(edgeless(1100), edgeless(1100))
+    with pytest.raises(RecursionError):
+        chromatic_number(edgeless(1100))
+
+
 class TestGraphText:
     def test_round_trip(self):
         g = build_family("prism", 3)

@@ -45,6 +45,10 @@ from oracles import (
 # tries.  The node counts pin the kernel's search order: a change of its
 # state that keeps the order reproduces them exactly.
 KERNEL_GOLDEN = {
+    "C9": [
+        (EXHAUSTED, None, 0),
+        (WITNESS_FOUND, "1 2 9 1 8 9 7 8 6 7 5 6 4 5 3 4 2 3", 17409),
+    ],
     "C8": [
         (EXHAUSTED, None, 0),
         (WITNESS_FOUND, "1 2 8 1 7 8 6 7 5 6 4 5 3 4 2 3", 2546),
@@ -85,6 +89,7 @@ KERNEL_GOLDEN = {
 }
 
 KERNEL_GRAPHS = {
+    "C9": build_family("cycle", 9),
     "C8": build_family("cycle", 8),
     "L4": build_family("ladder", 4),
     "Pr3": build_family("prism", 3),
@@ -129,6 +134,13 @@ class TestKUniformSearch:
         cert = find_k_uniform_representant(build_family("path", 3), 400)
         assert cert.status == ABORTED and cert.witness is None
         assert cert.nodes_explored > 0
+
+    @pytest.mark.parametrize("k,nodes", [(32, 96), (40, 120)])
+    def test_copy_counts_wider_than_five_bits(self, k, nodes):
+        # each letter's copies left are a field of k.bit_length() bits
+        cert = find_k_uniform_representant(build_family("path", 3), k)
+        assert cert.status == WITNESS_FOUND and cert.nodes_explored == nodes
+        assert " ".join(cert.witness.letters) == "2 1 3 " * (k - 1) + "2 3 1"
 
     def test_nodes_counted(self):
         cert = find_k_uniform_representant(build_family("cycle", 5), 2)
@@ -278,20 +290,26 @@ def test_census_six_vertices():
 
     The prism Pr3 is the only six-vertex graph with R = 3 and the wheel W5
     the only one that is not word-representable; their labelled copies
-    number 6!/|Aut| = 720/12 and 720/10.
+    number 6!/|Aut| = 720/12 and 720/10.  The sha256 of every (rep_number,
+    witness letters, per-k (status, nodes)) pins the kernel's search order.
     """
     prism = build_family("prism", 3)
     w5 = add_apex(build_family("cycle", 5), "a")
     counts = {1: 0, 2: 0, 3: 0, None: 0}
+    h = hashlib.sha256()
     for g in every_graph(6):
         res = representation_number(g)
         counts[res.rep_number] += 1
+        per_k = [(c.status, c.nodes_explored) for c in res.per_k]
+        h.update(repr((res.rep_number, res.witness and res.witness.letters, per_k)).encode())
         if res.rep_number is None:
             assert res.status == NOT_REPRESENTABLE
             assert naive_isomorphic(g, w5)
         elif res.rep_number == 3:
             assert naive_isomorphic(g, prism)
     assert counts == {1: 1, 2: (1 << 15) - 1 - 60 - 72, 3: 60, None: 72}
+    want = "8d1a4b1c910825f6bd32abe58a59df88c15195430efa718eeb47197ae05c4e8f"
+    assert h.hexdigest() == want
 
 
 class TestTransitiveOrientationSearch:
